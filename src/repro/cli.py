@@ -992,6 +992,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     publisher = SnapshotPublisher(
         _snapshot_source(args.snapshot), cache_size=args.cache_size
     )
+    # Handlers go in before the banner: a supervisor may signal as soon
+    # as it has read the port.
+    stop = threading.Event()
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: stop.set())
     with RuleServer(
         publisher, host=args.host, port=args.port, policy=policy,
         slo_pack=slo_pack,
@@ -1015,10 +1021,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if slo_pack is not None:
             print(f"# slo pack: {len(slo_pack)} rule(s) on /healthz", flush=True)
         print("# endpoints: /rules /healthz /metrics", flush=True)
-        stop = threading.Event()
-        if threading.current_thread() is threading.main_thread():
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                signal.signal(signum, lambda *_: stop.set())
         stop.wait()
     print("# shut down cleanly", file=sys.stderr)
     return 0

@@ -10,6 +10,7 @@ association — go through this wrapper and therefore never touch raw data
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -73,13 +74,19 @@ class Cluster:
     def __hash__(self) -> int:
         return hash(self.uid)
 
-    def __str__(self) -> str:
+    @cached_property
+    def label(self) -> str:
+        """The bounding-box description, rendered once: every rule that
+        mentions the cluster reuses it (the ACF never changes)."""
         lo, hi = self.bounding_box()
         parts = ", ".join(
             f"{name}:[{lo[i]:g}, {hi[i]:g}]"
             for i, name in enumerate(self.partition.attributes)
         )
         return f"C{self.uid}({parts}; n={self.n})"
+
+    def __str__(self) -> str:
+        return self.label
 
 
 def _d1(a: CF, b: CF) -> float:

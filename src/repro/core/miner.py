@@ -27,6 +27,7 @@ from repro.core.cluster import Cluster, image_distance
 from repro.core.config import DARConfig
 from repro.core.graph import ClusteringGraph, build_clustering_graph
 from repro.core.phase2_kernel import Phase2Kernel
+from repro.core.postprocess import select_rules
 from repro.core.rules import DistanceRule, RuleList
 from repro.data.columnar.chunks import ChunkIterator
 from repro.data.columnar.store import ColumnStore
@@ -191,10 +192,7 @@ class DARResult:
 
     def rules_sorted(self) -> List[DistanceRule]:
         """Rules ranked strongest-first (smallest degree, then most support)."""
-        return sorted(
-            self.rules,
-            key=lambda rule: (rule.degree, -(rule.support_count or 0), str(rule)),
-        )
+        return select_rules(self.rules)
 
     def scan_summary(self) -> Optional[ScanStats]:
         """All partitions' Phase I scan instrumentation merged into one.

@@ -83,8 +83,8 @@ class DistanceRule:
         return self.antecedent_uids, self.consequent_uids
 
     def __str__(self) -> str:
-        lhs = " & ".join(str(cluster) for cluster in self.antecedent)
-        rhs = " & ".join(str(cluster) for cluster in self.consequent)
+        lhs = " & ".join([str(cluster) for cluster in self.antecedent])
+        rhs = " & ".join([str(cluster) for cluster in self.consequent])
         suffix = f" (degree={self.degree:.4g}"
         if self.support_count is not None:
             suffix += f", support={self.support_count}"

@@ -266,6 +266,9 @@ def _make_handler(server: RuleServer):
 
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        # TCP_NODELAY: headers and body are separate writes, and Nagle would
+        # hold the body until the client's delayed ACK (~40 ms per reply).
+        disable_nagle_algorithm = True
         # Per-request correlation state, reset at the top of do_GET.
         _request_id: Optional[str] = None
         _status = 0

@@ -22,6 +22,7 @@ current rules).
 
 from __future__ import annotations
 
+import copy
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -88,8 +89,8 @@ class RuleSnapshot:
         self.descriptions = list(descriptions)
         self.clusters = dict(clusters)
         self.partitions = list(partitions)
-        self.density_thresholds = dict(density_thresholds)
-        self.degree_thresholds = dict(degree_thresholds)
+        self.density_thresholds = {k: float(v) for k, v in density_thresholds.items()}
+        self.degree_thresholds = {k: float(v) for k, v in degree_thresholds.items()}
         self.frequency_count = int(frequency_count)
         if not (
             len(self.degree)
@@ -112,51 +113,29 @@ class RuleSnapshot:
         """Compile a ``DARResult`` into a snapshot (rule id = list position)."""
         from repro.report.export import cluster_to_dict
 
-        started_span = span("serve.compile", rules=len(result.rules))
-        with started_span:
+        with span("serve.compile", rules=len(result.rules)):
             rules = list(result.rules)
-            degree = np.empty(len(rules), dtype=np.float64)
-            support = np.empty(len(rules), dtype=np.int64)
-            ant_offsets = np.zeros(len(rules) + 1, dtype=np.int64)
-            con_offsets = np.zeros(len(rules) + 1, dtype=np.int64)
-            ant_uids: List[int] = []
-            con_uids: List[int] = []
-            con_degrees: List[float] = []
-            descriptions: List[str] = []
-            clusters: Dict[int, Dict[str, Any]] = {}
-            for i, rule in enumerate(rules):
-                degree[i] = float(rule.degree)
-                support[i] = -1 if rule.support_count is None else int(rule.support_count)
-                for cluster in rule.antecedent:
-                    ant_uids.append(cluster.uid)
-                    clusters.setdefault(cluster.uid, cluster_to_dict(cluster))
-                for cluster in rule.consequent:
-                    con_uids.append(cluster.uid)
-                    con_degrees.append(float(rule.degrees.get(cluster.uid, rule.degree)))
-                    clusters.setdefault(cluster.uid, cluster_to_dict(cluster))
-                ant_offsets[i + 1] = len(ant_uids)
-                con_offsets[i + 1] = len(con_uids)
-                descriptions.append(str(rule))
+            # Each distinct cluster is described once, in first-mention
+            # order, however many rules refer to it.
+            distinct = {
+                c.uid: c for r in rules for side in (r.antecedent, r.consequent) for c in side
+            }
             snapshot = cls(
                 version=version,
                 created_at=_utc_now(),
-                degree=degree,
-                support=support,
-                ant_offsets=ant_offsets,
-                ant_uids=np.asarray(ant_uids, dtype=np.int64),
-                con_offsets=con_offsets,
-                con_uids=np.asarray(con_uids, dtype=np.int64),
-                con_degrees=np.asarray(con_degrees, dtype=np.float64),
-                descriptions=descriptions,
-                clusters=clusters,
+                degree=[r.degree for r in rules],
+                support=[-1 if r.support_count is None else r.support_count for r in rules],
+                ant_offsets=np.cumsum([0] + [len(r.antecedent) for r in rules]),
+                ant_uids=[c.uid for r in rules for c in r.antecedent],
+                con_offsets=np.cumsum([0] + [len(r.consequent) for r in rules]),
+                con_uids=[c.uid for r in rules for c in r.consequent],
+                con_degrees=[r.degrees.get(c.uid, r.degree) for r in rules for c in r.consequent],
+                descriptions=[str(r) for r in rules],
+                clusters={uid: cluster_to_dict(c) for uid, c in distinct.items()},
                 partitions=sorted(result.density_thresholds),
-                density_thresholds={
-                    k: float(v) for k, v in result.density_thresholds.items()
-                },
-                degree_thresholds={
-                    k: float(v) for k, v in result.degree_thresholds.items()
-                },
-                frequency_count=int(result.frequency_count),
+                density_thresholds=result.density_thresholds,
+                degree_thresholds=result.degree_thresholds,
+                frequency_count=result.frequency_count,
             )
         if obs_metrics.metrics_enabled():
             obs_metrics.inc(
@@ -167,23 +146,29 @@ class RuleSnapshot:
     def _build_indexes(self) -> None:
         """Derive the partition → rule-id inverted indexes from the CSR
         columns (rebuilt on load — derived state is never persisted)."""
-        ant_sets: Dict[str, List[int]] = {}
-        con_sets: Dict[str, List[int]] = {}
-        for i in range(self.n_rules):
-            for uid in self.antecedent_uids(i):
-                name = self.clusters[uid]["partition"]
-                ant_sets.setdefault(name, []).append(i)
-            for uid in self.consequent_uids(i):
-                name = self.clusters[uid]["partition"]
-                con_sets.setdefault(name, []).append(i)
-        self.antecedent_index = {
-            name: np.unique(np.asarray(ids, dtype=np.int64))
-            for name, ids in ant_sets.items()
-        }
-        self.consequent_index = {
-            name: np.unique(np.asarray(ids, dtype=np.int64))
-            for name, ids in con_sets.items()
-        }
+        uids = np.fromiter(self.clusters, dtype=np.int64, count=len(self.clusters))
+        names, codes = np.unique(
+            [str(entry["partition"]) for entry in self.clusters.values()],
+            return_inverse=True,
+        )
+        order = np.argsort(uids)
+        known_uids, known_codes = uids[order], codes[order]
+
+        def index(offsets: np.ndarray, refs: np.ndarray) -> Dict[str, np.ndarray]:
+            rule_ids = np.repeat(np.arange(self.n_rules, dtype=np.int64), np.diff(offsets))
+            slots = np.searchsorted(known_uids, refs)
+            known = slots < len(known_uids)
+            known[known] = known_uids[slots[known]] == refs[known]
+            if not known.all():
+                raise KeyError(int(refs[~known][0]))
+            ref_codes = known_codes[slots]
+            return {
+                str(names[code]): np.unique(rule_ids[ref_codes == code])
+                for code in np.unique(ref_codes)
+            }
+
+        self.antecedent_index = index(self.ant_offsets, self.ant_uids)
+        self.consequent_index = index(self.con_offsets, self.con_uids)
 
     # ------------------------------------------------------------------
     # Row access
@@ -290,8 +275,8 @@ class RuleSnapshot:
             descriptions=list(columns["descriptions"]),
             clusters={int(uid): entry for uid, entry in state["clusters"].items()},
             partitions=list(state["partitions"]),
-            density_thresholds=dict(state["density_thresholds"]),
-            degree_thresholds=dict(state["degree_thresholds"]),
+            density_thresholds=state["density_thresholds"],
+            degree_thresholds=state["degree_thresholds"],
             frequency_count=int(state["frequency_count"]),
         )
 
@@ -318,15 +303,20 @@ def compile_snapshot(
     """Turn any rule source into a :class:`RuleSnapshot`.
 
     Accepts, in order of directness: a ready snapshot (returned as-is,
-    or re-versioned via ``existing_version``), a ``DARResult``, or a
-    path to either a snapshot checkpoint or a streaming-miner checkpoint
-    (the latter is restored and its current :meth:`rules` compiled).
+    or as a re-versioned copy via ``existing_version``), a ``DARResult``,
+    or a path to either a snapshot checkpoint or a streaming-miner
+    checkpoint (the latter is restored and its current :meth:`rules`
+    compiled).
     Anything else raises ``TypeError``.
     """
     if isinstance(source, RuleSnapshot):
-        if existing_version is not None and source.version != existing_version:
-            source.version = int(existing_version)
-        return source
+        if existing_version is None or source.version == existing_version:
+            return source
+        # A caller (or a publisher already serving it) may hold this very
+        # object: re-version a shallow copy that shares the columns.
+        renumbered = copy.copy(source)
+        renumbered.version = int(existing_version)
+        return renumbered
     if hasattr(source, "rules") and hasattr(source, "density_thresholds"):
         return RuleSnapshot.from_result(source, version=version)
     if isinstance(source, (str, Path)):

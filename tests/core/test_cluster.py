@@ -1,10 +1,13 @@
 """Tests for the Cluster wrapper and image distances."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.birch.features import ACF
 from repro.core.cluster import CLUSTER_METRICS, Cluster, image_distance
+from repro.core.rules import DistanceRule
 from repro.data.relation import AttributePartition
 
 
@@ -47,6 +50,56 @@ class TestClusterBasics:
         cluster = make_cluster(3, [[1.0], [2.0]])
         text = str(cluster)
         assert "n=2" in text and "C3" in text
+
+
+def _rendered(cluster):
+    """The bounding-box description, rendered from scratch."""
+    lo, hi = cluster.acf.bounding_box()
+    parts = ", ".join(
+        f"{name}:[{lo[i]:g}, {hi[i]:g}]"
+        for i, name in enumerate(cluster.partition.attributes)
+    )
+    return f"C{cluster.uid}({parts}; n={cluster.n})"
+
+
+class TestClusterLabel:
+    def test_str_is_the_bounding_box_rendering(self):
+        cluster = make_cluster(4, [[0.5, -2.0], [1.25, 3e-7], [9.0, 1e12]])
+        assert str(cluster) == cluster.label == _rendered(cluster)
+        assert str(cluster) == "C4(x0:[0.5, 9], x1:[-2, 1e+12]; n=3)"
+
+    def test_rendered_once(self, monkeypatch):
+        cluster = make_cluster(5, [[1.0], [2.0]])
+        calls = []
+        original = Cluster.bounding_box
+
+        def counting(self):
+            calls.append(self.uid)
+            return original(self)
+
+        monkeypatch.setattr(Cluster, "bounding_box", counting)
+        assert str(cluster) == str(cluster) == _rendered(cluster)
+        assert calls == [5]
+
+    @pytest.mark.parametrize("rendered_first", [False, True])
+    def test_survives_pickling(self, rendered_first):
+        cluster = make_cluster(6, [[1.0, 2.0], [3.0, -4.5]], cross={"y": [[1.0], [2.0]]})
+        if rendered_first:
+            str(cluster)
+        copy = pickle.loads(pickle.dumps(cluster))
+        assert copy == cluster
+        assert str(copy) == str(cluster) == _rendered(cluster)
+
+    def test_rules_reuse_labels_without_caching_their_own(self):
+        a = make_cluster(1, [[0.0], [1.0]], partition_name="x")
+        b = make_cluster(2, [[5.0], [6.0]], partition_name="y")
+        rule = DistanceRule(antecedent=(a,), consequent=(b,), degree=0.5)
+        fields = set(vars(rule))
+        assert str(rule) == f"{_rendered(a)} => {_rendered(b)} (degree=0.5)"
+        # Caching a string per rule costs memory on large rule sets; only
+        # the few clusters keep their label.
+        assert set(vars(rule)) == fields
+        assert "label" in vars(a) and "label" in vars(b)
 
 
 class TestImages:

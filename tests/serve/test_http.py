@@ -1,6 +1,9 @@
 """RuleServer HTTP routes against an in-process ephemeral-port server."""
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -136,6 +139,25 @@ class TestOtherRoutes:
         status, payload = _get_json(server.url, "/rules", data=b"{}")
         assert status == 405
         assert "read-only" in payload["error"]
+
+
+class TestKeepAlive:
+    def test_back_to_back_requests_do_not_stall(self, server):
+        # Headers and body are two writes; with Nagle on, the body of
+        # every reply waits for the client's delayed ACK (>= 40 ms).
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            seconds = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/rules?top_k=3")
+                response = connection.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+                seconds.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020
 
 
 class TestEmptyPublisher:

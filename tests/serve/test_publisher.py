@@ -48,6 +48,18 @@ class TestLifecycle:
         publisher.publish(planted_result)
         assert publisher.version == 3
 
+    def test_republishing_a_snapshot_keeps_the_served_version(self, planted_result):
+        from repro.serve.snapshot import RuleSnapshot
+
+        shared = RuleSnapshot.from_result(planted_result)
+        publisher = SnapshotPublisher()
+        first = publisher.publish(shared)
+        served = publisher.snapshot
+        second = publisher.publish(shared)
+        assert (first.version, served.version, shared.version) == (1, 1, 1)
+        assert second.version == publisher.version == 2
+        assert second.degree is shared.degree
+
     def test_refresh_from_miner(self, planted_result):
         class FakeMiner:
             def rules(self):
