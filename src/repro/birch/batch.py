@@ -13,12 +13,22 @@ replaces that with a batch engine built on two ideas:
    become one subtract + one row-wise dot product + one argmin over the
    mirror instead of a Python loop.  Mirrors are updated incrementally (one
    row per insertion) and invalidated when a split restructures the node.
+   One-dimensional trees (the paper's single-attribute partitions) keep
+   their mirrors as Python float lists instead and run one scan loop with
+   routing, closest-entry selection, the merged-diameter test, absorption
+   and the ancestor notes all inlined; each step is the same scalar
+   IEEE-754 operation, in the same order, as the numpy path.
 
 2. **Deferred bulk accumulation.**  Absorption decisions only need the main
    moments ``(n, LS, SS)``, which the mirrors carry.  Everything else —
    cross moments, bounding boxes, leaf aggregates, ancestor aggregates — is
-   buffered per destination leaf and applied at *flush* time with
-   ``np.add.at`` / ``np.minimum.at`` bulk scatters, grouped by entry.
+   buffered per destination leaf and applied at *flush* time, grouped by
+   entry: bounding boxes with ``np.minimum.at`` / ``np.maximum.at``, and
+   cross moments with one ``np.bincount`` per moment over the flattened
+   ``(entry, column)`` bins of the cross columns, stacked once per batch.
+   ``bincount`` adds each bin's items in item order, exactly as
+   ``np.add.at`` does (``np.add.reduceat`` does not), so the flush order
+   is part of the result.
 
 **Equivalence guarantee.**  The engine makes the *same decision sequence*
 as sequential insertion: points are routed one at a time against mirror
@@ -44,7 +54,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from math import inf, sqrt
+from itertools import accumulate
+from math import inf, nan, sqrt
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -326,124 +337,34 @@ class _LeafMirror:
         self.count += 1
 
 
-class _InternalMirror1D:
-    """Scalar (pure-Python-float) mirror of a 1-dimensional internal node.
+class _Mirror1D:
+    """Scalar (pure-Python-float) mirror of one node of a 1-dimensional tree.
 
-    Every arithmetic step is a single IEEE-754 scalar operation, identical
-    to what the numpy path performs elementwise on length-1 arrays, so the
-    routing decisions are bit-for-bit the sequential ones — without any
-    per-point numpy dispatch overhead.
+    Holds the per-child (internal node) or per-entry (leaf) counts, linear
+    sums, square sums and centroids as Python lists.  An empty child or
+    entry has a NaN centroid, which no distance comparison ever selects.
+    ``children`` is the node's child list for an internal node and
+    ``None`` for a leaf, so the scan loop tells the two apart without a
+    property call.  Every update the scan makes is a single IEEE-754
+    scalar operation, identical to what the numpy path performs
+    elementwise on length-1 arrays.
     """
 
-    __slots__ = ("count", "n", "ls", "cent", "n_empty")
+    __slots__ = ("children", "n", "ls", "ss", "cent")
 
-    def __init__(self, node: InternalNode):
-        self.count = len(node.children)
-        self.n: List[int] = []
-        self.ls: List[float] = []
-        self.cent: List[float] = []
-        self.n_empty = 0
-        for child in node.children:
-            cf = child.cf
-            count = cf.n
-            linear = float(cf.ls[0])
-            self.n.append(count)
-            self.ls.append(linear)
-            if count:
-                self.cent.append(linear / count)
-            else:
-                self.cent.append(0.0)
-                self.n_empty += 1
-
-    def route(self, point: float) -> int:
-        best = -1
-        best_squared = inf
-        counts = self.n
-        cent = self.cent
-        for index in range(self.count):
-            if counts[index] == 0:
-                continue
-            delta = cent[index] - point
-            squared = delta * delta
-            if squared < best_squared:
-                best = index
-                best_squared = squared
-        return 0 if best < 0 else best
-
-    def note(self, index: int, dn: int, dls: float) -> None:
-        n = self.n[index]
-        if n == 0:
-            self.n_empty -= 1
-        n += dn
-        self.n[index] = n
-        ls = self.ls[index] + dls
-        self.ls[index] = ls
-        self.cent[index] = ls / n
-
-
-class _LeafMirror1D:
-    """Scalar mirror of a 1-dimensional leaf; see :class:`_InternalMirror1D`."""
-
-    __slots__ = ("count", "n", "ls", "ss", "cent", "n_empty")
-
-    def __init__(self, leaf: LeafNode):
-        self.count = len(leaf.entries)
-        self.n: List[int] = []
-        self.ls: List[float] = []
-        self.ss: List[float] = []
-        self.cent: List[float] = []
-        self.n_empty = 0
-        for entry in leaf.entries:
-            cf = entry.cf
-            count = cf.n
-            linear = float(cf.ls[0])
-            self.n.append(count)
-            self.ls.append(linear)
-            self.ss.append(float(cf.ss[0]))
-            if count:
-                self.cent.append(linear / count)
-            else:
-                self.cent.append(0.0)
-                self.n_empty += 1
-
-    def closest(self, point: float) -> int:
-        best = -1
-        best_squared = inf
-        counts = self.n
-        cent = self.cent
-        for index in range(self.count):
-            if counts[index] == 0:
-                continue
-            delta = cent[index] - point
-            squared = delta * delta
-            if squared < best_squared:
-                best = index
-                best_squared = squared
-        if best < 0:
-            raise ValueError("closest_entry on a leaf with only empty entries")
-        return best
-
-    def absorb(self, index: int, dn: int, dls: float, dss: float) -> None:
-        n = self.n[index]
-        if n == 0:
-            self.n_empty -= 1
-        n += dn
-        self.n[index] = n
-        ls = self.ls[index] + dls
-        self.ls[index] = ls
-        self.ss[index] += dss
-        self.cent[index] = ls / n
-
-    def append(self, dn: int, ls: float, ss: float) -> None:
-        self.n.append(dn)
-        self.ls.append(ls)
-        self.ss.append(ss)
-        if dn:
-            self.cent.append(ls / dn)
+    def __init__(self, node: Node):
+        if node.is_leaf:
+            self.children: Optional[List[Node]] = None
+            cfs = [entry.cf for entry in node.entries]  # type: ignore[attr-defined]
         else:
-            self.cent.append(0.0)
-            self.n_empty += 1
-        self.count += 1
+            self.children = node.children  # type: ignore[attr-defined]
+            cfs = [child.cf for child in self.children]
+        self.n: List[int] = [cf.n for cf in cfs]
+        self.ls: List[float] = [float(cf.ls[0]) for cf in cfs]
+        self.ss: List[float] = [float(cf.ss[0]) for cf in cfs]
+        self.cent: List[float] = [
+            linear / count if count else nan for count, linear in zip(self.n, self.ls)
+        ]
 
 
 class _LeafBuffer:
@@ -458,9 +379,18 @@ class _LeafBuffer:
 
 
 class _Batch:
-    """Precomputed column-stacked views of one batch of points or entries."""
+    """Precomputed column-stacked views of one batch of points or entries.
 
-    __slots__ = ("size", "n", "ls", "ss", "lo", "hi", "cross", "entries")
+    The cross partitions' columns are stacked once per batch into
+    ``cross_ls`` / ``cross_ss`` (``(B, C)``, ``C`` the summed cross
+    arities); ``cross_layout`` names each partition's column slice and
+    ``cross_columns`` each stacked column's ``(partition, offset)``.
+    """
+
+    __slots__ = (
+        "size", "n", "ls", "ss", "lo", "hi", "cross_layout", "cross_columns",
+        "cross_ls", "cross_ss", "cross_n", "entries",
+    )
 
     def __init__(
         self,
@@ -469,7 +399,10 @@ class _Batch:
         ss: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
-        cross: Dict[str, Dict[str, np.ndarray]],
+        cross_layout: Sequence[tuple],
+        cross_ls: np.ndarray,
+        cross_ss: np.ndarray,
+        cross_n: Optional[np.ndarray],
         entries: Optional[Sequence[ACF]],
     ):
         self.size = ls.shape[0]
@@ -478,43 +411,75 @@ class _Batch:
         self.ss = ss        # (B, dim) — elementwise squares / entry SS rows
         self.lo = lo        # (B, dim) bounding-box contribution
         self.hi = hi
-        self.cross = cross  # name -> {"n": (B,), "ls": (B, dy), "ss": (B, dy)}
+        self.cross_layout = tuple(cross_layout)  # ((name, start, stop), ...)
+        self.cross_columns = tuple(
+            (name, offset)
+            for name, start, stop in self.cross_layout
+            for offset in range(stop - start)
+        )
+        self.cross_ls = cross_ls          # (B, C)
+        self.cross_ss = cross_ss          # (B, C)
+        self.cross_n = cross_n  # (B, partitions) int; None for raw points
         self.entries = entries  # entry mode only: the source ACFs
+
+    @staticmethod
+    def _layout(names: Sequence[str], widths: Sequence[int]) -> tuple:
+        bounds = [0, *accumulate(widths)]
+        return tuple(zip(names, bounds[:-1], bounds[1:]))
 
     @classmethod
     def of_points(
         cls, points: np.ndarray, cross_values: Mapping[str, np.ndarray]
     ) -> "_Batch":
-        squares = points * points
-        cross: Dict[str, Dict[str, np.ndarray]] = {}
-        for name, matrix in cross_values.items():
-            matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-            cross[name] = {"n": None, "ls": matrix, "ss": matrix * matrix}
+        names = list(cross_values)
+        matrices = [
+            np.atleast_2d(np.asarray(cross_values[name], dtype=np.float64))
+            for name in names
+        ]
+        cross_ls = np.hstack(matrices) if matrices else np.empty((points.shape[0], 0))
         return cls(
             n=np.ones(points.shape[0], dtype=np.int64),
             ls=points,
-            ss=squares,
+            ss=points * points,
             lo=points,
             hi=points,
-            cross=cross,
+            cross_layout=cls._layout(names, [matrix.shape[1] for matrix in matrices]),
+            cross_ls=cross_ls,
+            cross_ss=cross_ls * cross_ls,
+            cross_n=None,
             entries=None,
         )
 
     @classmethod
     def of_entries(cls, entries: Sequence[ACF]) -> "_Batch":
-        n = np.array([entry.n for entry in entries], dtype=np.int64)
-        ls = np.stack([entry.cf.ls for entry in entries])
-        ss = np.stack([entry.cf.ss for entry in entries])
-        lo = np.stack([entry.lo for entry in entries])
-        hi = np.stack([entry.hi for entry in entries])
-        cross: Dict[str, Dict[str, np.ndarray]] = {}
-        for name in entries[0].cross:
-            cross[name] = {
-                "n": np.array([entry.cross[name].n for entry in entries], dtype=np.int64),
-                "ls": np.stack([entry.cross[name].ls for entry in entries]),
-                "ss": np.stack([entry.cross[name].ss for entry in entries]),
-            }
-        return cls(n=n, ls=ls, ss=ss, lo=lo, hi=hi, cross=cross, entries=entries)
+        names = list(entries[0].cross)
+        size = len(entries)
+        if names:
+            cross_ls = np.stack(
+                [np.concatenate([entry.cross[name].ls for name in names]) for entry in entries]
+            )
+            cross_ss = np.stack(
+                [np.concatenate([entry.cross[name].ss for name in names]) for entry in entries]
+            )
+        else:
+            cross_ls = cross_ss = np.empty((size, 0))
+        return cls(
+            n=np.array([entry.n for entry in entries], dtype=np.int64),
+            ls=np.stack([entry.cf.ls for entry in entries]),
+            ss=np.stack([entry.cf.ss for entry in entries]),
+            lo=np.stack([entry.lo for entry in entries]),
+            hi=np.stack([entry.hi for entry in entries]),
+            cross_layout=cls._layout(
+                names, [entries[0].cross[name].ls.shape[0] for name in names]
+            ),
+            cross_ls=cross_ls,
+            cross_ss=cross_ss,
+            cross_n=np.array(
+                [[entry.cross[name].n for name in names] for entry in entries],
+                dtype=np.int64,
+            ).reshape(size, len(names)),
+            entries=entries,
+        )
 
 
 class BatchInserter:
@@ -648,107 +613,116 @@ class BatchInserter:
         return flush_split_seconds
 
     def _scan_scalar(self, batch: _Batch, stats: ScanStats) -> float:
-        """Scalar scan loop for 1-dimensional trees.
+        """The scan loop for 1-dimensional trees, points and entries alike.
 
-        Decision-for-decision the same as :meth:`_scan_generic`: for
-        ``dimension == 1`` every numpy elementwise operation is a single
-        scalar IEEE-754 operation, which Python floats reproduce exactly,
-        including the merged-diameter formula and the first-minimum
-        tie-break of the routing scans.
+        Decision-for-decision the same as :meth:`_scan_generic`, with the
+        routing, closest-entry, merged-diameter, absorb and ancestor-note
+        steps inlined over :class:`_Mirror1D` lists.  For ``dimension ==
+        1`` every numpy elementwise operation is a single scalar IEEE-754
+        operation, which Python floats reproduce exactly and in the same
+        order: each scan keeps the first non-empty child or entry of
+        strictly smallest squared centroid distance, and an ancestor is
+        noted as the descent leaves it (nothing reads its mirror again
+        before the next item, so this is the order the sequential path
+        produces).  An item routes by its centroid ``LS / n``, which for a
+        raw point (``n == 1``) is the point itself.
         """
         flush_split_seconds = 0.0
         tree = self.tree
         threshold = tree.threshold
         leaf_capacity = tree.leaf_capacity
-        point_mode = batch.entries is None
         mirrors = self._mirrors
         buffers = self._buffers
+        clock = time.perf_counter
+        point_mode = batch.entries is None
         xs = batch.ls[:, 0].tolist()
         qs = batch.ss[:, 0].tolist()
-        ns = None if point_mode else batch.n.tolist()
+        ns = batch.n.tolist()
+        root = tree._root
         absorbed_count = 0
-        new_count = 0
 
-        for i in range(batch.size):
-            dls = xs[i]
-            dss = qs[i]
-            if point_mode:
-                dn = 1
-                point = dls
-            else:
-                dn = ns[i]
-                point = dls / dn  # the entry's centroid, routed like a point
+        for i, (dls, dss, dn) in enumerate(zip(xs, qs, ns)):
+            point = dls if point_mode else dls / dn
 
-            path: List[tuple] = []
-            node = tree._root
-            while not node.is_leaf:
+            node = root
+            while True:
                 mirror = mirrors.get(node)
                 if mirror is None:
-                    mirror = _InternalMirror1D(node)  # type: ignore[arg-type]
-                    mirrors[node] = mirror
-                child_index = mirror.route(point)
-                path.append((node, mirror, child_index))
-                node = node.children[child_index]  # type: ignore[attr-defined]
-            leaf: LeafNode = node  # type: ignore[assignment]
-            leaf_mirror = mirrors.get(leaf)
-            if leaf_mirror is None:
-                leaf_mirror = _LeafMirror1D(leaf)
-                mirrors[leaf] = leaf_mirror
+                    mirror = mirrors[node] = _Mirror1D(node)
+                counts = mirror.n
+                cent = mirror.cent
+                best = -1
+                best_squared = inf
+                for index, centroid in enumerate(cent):
+                    delta = centroid - point
+                    squared = delta * delta
+                    if squared < best_squared:
+                        best = index
+                        best_squared = squared
+                children = mirror.children
+                if children is None:
+                    break
+                if best < 0:
+                    best = 0  # no child qualifies: take the first
+                n = counts[best] + dn
+                counts[best] = n
+                linear = mirror.ls[best] + dls
+                mirror.ls[best] = linear
+                cent[best] = linear / n
+                node = children[best]
 
             absorbed = False
-            if leaf_mirror.count:
-                entry_index = leaf_mirror.closest(point)
-                merged_n = leaf_mirror.n[entry_index] + dn
+            if best >= 0:
+                merged_n = counts[best] + dn
+                merged_ls = mirror.ls[best] + dls
+                merged_ss = mirror.ss[best] + dss
                 if merged_n < 2:
                     diameter = 0.0
                 else:
-                    merged_ls = leaf_mirror.ls[entry_index] + dls
-                    merged_ss = leaf_mirror.ss[entry_index] + dss
                     squared = (2.0 * merged_n * merged_ss - 2.0 * merged_ls * merged_ls) / (
                         merged_n * (merged_n - 1)
                     )
                     diameter = sqrt(squared) if squared > 0.0 else 0.0
-                if diameter <= threshold:
-                    leaf_mirror.absorb(entry_index, dn, dls, dss)
-                    buffer = buffers.get(leaf)
-                    if buffer is None:
-                        buffer = _LeafBuffer()
-                        buffers[leaf] = buffer
-                    buffer.absorbed_entry.append(entry_index)
-                    buffer.absorbed_item.append(i)
-                    absorbed = True
-            if not absorbed:
-                entry = self._materialize_entry(batch, i)
-                leaf.add_entry(entry)
-                leaf_mirror.append(dn, dls, dss)
-                buffer = buffers.get(leaf)
-                if buffer is None:
-                    buffer = _LeafBuffer()
-                    buffers[leaf] = buffer
-                buffer.new_items.append(i)
+                absorbed = diameter <= threshold
+            elif cent:
+                raise ValueError("closest_entry on a leaf with only empty entries")
 
-            for _, mirror, child_index in path:
-                mirror.note(child_index, dn, dls)
-
+            buffer = buffers.get(node)
+            if buffer is None:
+                buffer = buffers[node] = _LeafBuffer()
             if absorbed:
+                counts[best] = merged_n
+                mirror.ls[best] = merged_ls
+                mirror.ss[best] = merged_ss
+                cent[best] = merged_ls / merged_n
+                buffer.absorbed_entry.append(best)
+                buffer.absorbed_item.append(i)
                 absorbed_count += 1
-            else:
-                new_count += 1
-                if leaf.entry_count() > leaf_capacity:
-                    split_started = time.perf_counter()
-                    self.flush(stats)
-                    tree._split_leaf(leaf)
-                    # The split restructured the root-to-leaf chain; drop the
-                    # caches of every node on the descent path.
-                    for path_node, _, _ in path:
-                        mirrors.pop(path_node, None)
-                    mirrors.pop(leaf, None)
-                    split_seconds = time.perf_counter() - split_started
-                    flush_split_seconds += split_seconds
-                    stats.seconds_split += split_seconds
+                continue
+
+            node.add_entry(self._materialize_entry(batch, i))  # type: ignore[attr-defined]
+            counts.append(dn)
+            mirror.ls.append(dls)
+            mirror.ss.append(dss)
+            cent.append(dls / dn if dn else nan)
+            buffer.new_items.append(i)
+            if len(counts) > leaf_capacity:
+                split_started = clock()
+                self.flush(stats)
+                # The split restructures the root-to-leaf chain: drop the
+                # caches of the leaf and every ancestor.
+                ancestor = node
+                while ancestor is not None:
+                    mirrors.pop(ancestor, None)
+                    ancestor = ancestor.parent
+                tree._split_leaf(node)  # type: ignore[arg-type]
+                root = tree._root
+                split_seconds = clock() - split_started
+                flush_split_seconds += split_seconds
+                stats.seconds_split += split_seconds
 
         stats.absorbed += absorbed_count
-        stats.new_entries += new_count
+        stats.new_entries += batch.size - absorbed_count
         return flush_split_seconds
 
     def _buffer(self, leaf: LeafNode) -> _LeafBuffer:
@@ -764,9 +738,9 @@ class BatchInserter:
             # batch items into this object, and callers (rebuilds) still
             # hold references to the originals.
             return batch.entries[i].copy()
-        point = batch.ls[i]
-        cross_values = {name: cols["ls"][i] for name, cols in batch.cross.items()}
-        return ACF.of_point(point, cross_values)
+        row = batch.cross_ls[i]
+        cross_values = {name: row[start:stop] for name, start, stop in batch.cross_layout}
+        return ACF.of_point(batch.ls[i], cross_values)
 
     # ------------------------------------------------------------------
     # Mirrors
@@ -794,10 +768,10 @@ class BatchInserter:
         """Apply every buffered update to the tree's object graph.
 
         Main leaf-entry moments are copied from the mirrors (bit-identical
-        to sequential accumulation); cross moments and bounding boxes are
-        scattered with ``np.add.at`` / ``np.minimum.at`` grouped by entry;
-        node aggregates get one summed delta per touched leaf, propagated
-        up the parent chain.
+        to sequential accumulation); bounding boxes are scattered with
+        ``np.minimum.at`` / ``np.maximum.at`` and cross moments with one
+        ``np.bincount`` per moment, grouped by entry; node aggregates get
+        one summed delta per touched leaf, propagated up the parent chain.
         """
         if not self._buffers:
             return
@@ -817,7 +791,8 @@ class BatchInserter:
         if buffer.absorbed_item:
             entry_idx = np.asarray(buffer.absorbed_entry, dtype=np.intp)
             item_idx = np.asarray(buffer.absorbed_item, dtype=np.intp)
-            touched = np.unique(entry_idx)
+            counts = np.bincount(entry_idx, minlength=k)
+            touched = np.flatnonzero(counts).tolist()
 
             # Main moments: authoritative values live in the mirror, which
             # accumulated them point-by-point exactly as the sequential
@@ -840,31 +815,49 @@ class BatchInserter:
                 np.minimum(entry.lo, lo[j], out=entry.lo)
                 np.maximum(entry.hi, hi[j], out=entry.hi)
 
-            # Cross moments: one add-scatter per cross partition.
-            counts = np.bincount(entry_idx, minlength=k)
-            item_counts = batch.n[item_idx]
-            for name, cols in batch.cross.items():
-                dy = cols["ls"].shape[1]
-                cross_ls = np.zeros((k, dy))
-                cross_ss = np.zeros((k, dy))
-                np.add.at(cross_ls, entry_idx, cols["ls"][item_idx])
-                np.add.at(cross_ss, entry_idx, cols["ss"][item_idx])
-                if cols["n"] is None:
-                    cross_n = counts
+            # Cross moments: one bincount per moment over the flattened
+            # (entry, column) bins of the stacked cross columns.  bincount
+            # adds each bin's items in item order from zero, exactly as
+            # ``np.add.at`` does (``np.add.reduceat`` would not).
+            layout = batch.cross_layout
+            if layout:
+                width = batch.cross_ls.shape[1]
+                bins = (entry_idx[:, None] * width + np.arange(width)).ravel()
+                cross_ls = np.bincount(
+                    bins, batch.cross_ls[item_idx].ravel(), k * width
+                ).reshape(k, width)
+                cross_ss = np.bincount(
+                    bins, batch.cross_ss[item_idx].ravel(), k * width
+                ).reshape(k, width)
+                if batch.cross_n is None:
+                    cross_n = [[count] * len(layout) for count in counts.tolist()]
                 else:
-                    cross_n = np.zeros(k, dtype=np.int64)
-                    np.add.at(cross_n, entry_idx, cols["n"][item_idx])
+                    parts = len(layout)
+                    part_bins = (entry_idx[:, None] * parts + np.arange(parts)).ravel()
+                    cross_n = (
+                        np.bincount(part_bins, batch.cross_n[item_idx].ravel(), k * parts)
+                        .astype(np.int64)
+                        .reshape(k, parts)
+                        .tolist()
+                    )
+                # Scalar element updates: the same IEEE additions as an
+                # in-place array add, without a view and a ufunc call each.
+                columns = batch.cross_columns
                 for j in touched:
-                    cross_cf = leaf.entries[j].cross[name]
-                    cross_cf.n += int(cross_n[j])
-                    cross_cf.ls += cross_ls[j]
-                    cross_cf.ss += cross_ss[j]
+                    cross = leaf.entries[j].cross
+                    for (name, _, _), count in zip(layout, cross_n[j]):
+                        cross[name].n += count
+                    for (name, offset), dls, dss in zip(
+                        columns, cross_ls[j].tolist(), cross_ss[j].tolist()
+                    ):
+                        cross_cf = cross[name]
+                        cross_cf.ls[offset] += dls
+                        cross_cf.ss[offset] += dss
 
             # Leaf aggregate: one summed delta (new entries were already
             # merged by ``add_entry``).
-            absorbed_n = int(item_counts.sum())
             leaf_cf = leaf.cf
-            leaf_cf.n += absorbed_n
+            leaf_cf.n += int(batch.n[item_idx].sum())
             leaf_cf.ls += batch.ls[item_idx].sum(axis=0)
             leaf_cf.ss += batch.ss[item_idx].sum(axis=0)
 

@@ -4,16 +4,20 @@ Format: a first line ``# name:kind,name:kind,...`` followed by a standard
 CSV with a header row of attribute names.  Round-trips exactly for
 interval/ordinal columns (repr-precision floats) and nominal strings.
 
-:func:`load_csv` has two modes over one single-pass parser: the default
-materializes an in-memory :class:`~repro.data.relation.Relation`;
+:func:`load_csv` has two modes over one single-pass row parser: the
+default materializes an in-memory :class:`~repro.data.relation.Relation`;
 ``out_of_core=True`` streams rows to a memory-mapped
 :class:`~repro.data.columnar.ColumnStore` so files larger than RAM load
-in constant memory.
+in constant memory.  A strict in-memory load of an all-interval schema
+first tries a vectorised ``np.loadtxt`` parse of the body, which gives
+bitwise the same columns; the row parser re-reads the file whenever that
+parse fails, so it alone reports ``path:line`` errors.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
 from typing import Optional, Union
@@ -85,10 +89,67 @@ def load_csv(
     quarantine behaviour are byte-for-byte identical to the in-memory
     path — both are fed by the same single-pass row generator, so no
     mode ever re-reads the file to discover its row count.
+
+    A strict in-memory load of an all-interval schema parses the body
+    with ``np.loadtxt`` instead (see :func:`_load_vector`); the columns
+    are bitwise the row parser's, and any file that parse rejects is
+    re-read by the row parser to raise its exact error.  The load is
+    traced as one ``data.load`` span with ``rows``, ``columns`` and
+    ``parser`` (``"vector"`` or ``"rows"``) attributes.
     """
     path = Path(path)
     if not out_of_core and (chunk_rows is not None or spill_dir is not None):
         raise ValueError("chunk_rows/spill_dir are only meaningful with out_of_core=True")
+    with span("data.load", path=str(path)) as current:
+        loaded = None
+        if sink is None and not out_of_core:
+            loaded = _load_vector(path)
+        current.set("parser", "rows" if loaded is None else "vector")
+        if loaded is None:
+            loaded = _load_rows(path, sink, out_of_core, chunk_rows, spill_dir)
+        current.set("rows", len(loaded))
+        current.set("columns", len(loaded.schema))
+    return loaded
+
+
+def _load_vector(path: Path) -> Optional[Relation]:
+    """Strict in-memory load of an all-interval schema through ``np.loadtxt``.
+
+    Returns ``None`` for any other schema and whenever the vectorised
+    parse cannot vouch for its result — a cell or row ``np.loadtxt``
+    rejects, or a body with the wrong number of columns — and
+    :func:`load_csv` then re-reads the file with the row parser, which
+    stays the only source of ``path:line`` errors.  Whatever it does
+    accept, it parses as ``float()`` does (both end in CPython's
+    ``PyOS_string_to_double``), and like the row parser it skips blank
+    lines, so the columns are bitwise the row parser's.  Spellings only
+    ``float()`` accepts (``1_000``, non-ASCII digits) fail here and come
+    back through the row parser.
+    """
+    with path.open(newline="") as handle:
+        schema, _ = _parse_header(handle, path)
+        if any(attribute.kind is not AttributeKind.INTERVAL for attribute in schema):
+            return None
+        # An empty body loads empty (and ``np.loadtxt`` would warn on it).
+        for first in handle:
+            if first.strip("\r\n"):
+                break
+        else:
+            return Relation(schema, {name: [] for name in schema.names})
+        try:
+            matrix = np.loadtxt(
+                itertools.chain((first,), handle), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError:
+            return None
+    if matrix.shape[1] != len(schema):
+        return None
+    columns = np.ascontiguousarray(matrix.T)
+    return Relation(schema, dict(zip(schema.names, columns)))
+
+
+def _load_rows(path: Path, sink, out_of_core: bool, chunk_rows, spill_dir):
+    """The row parser: every mode of :func:`load_csv`, one pass per file."""
     with path.open(newline="") as handle:
         schema, reader = _parse_header(handle, path)
         clean_rows = _iter_clean_rows(path, schema, reader, sink)

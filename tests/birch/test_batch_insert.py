@@ -3,9 +3,8 @@
 The contract of :meth:`ACFTree.insert_points` / :meth:`insert_entries`
 (see :mod:`repro.birch.batch`) is decision equivalence: same routing, same
 absorb-vs-new choices, same splits as the per-point loop, with the leaf
-entry main moments matching within 1e-9 (in practice bit-for-bit) and the
-deferred payload (cross moments, bounding boxes, aggregates) within
-accumulation-order noise.
+entry main moments ``(n, LS, SS)`` and bounding boxes identical bit for
+bit and the deferred cross moments within accumulation-order noise.
 """
 
 import numpy as np
@@ -15,6 +14,7 @@ from repro.birch.batch import ScanStats
 from repro.birch.features import ACF
 from repro.birch.rebuild import rebuild_tree
 from repro.birch.tree import ACFTree
+from repro.data.wbcd import make_scaled_wbcd
 
 
 def make_tree(dim=1, threshold=0.5, branching=3, leaf_capacity=3, cross=None):
@@ -38,19 +38,33 @@ def entry_key(entry):
     return (entry.cf.n, tuple(entry.cf.ls), tuple(entry.cf.ss))
 
 
-def assert_trees_equivalent(expected, actual, atol=1e-9):
-    """Same point count, same entry multiset (main moments, boxes, crosses)."""
+def assert_main_moments_identical(expected, actual):
+    """Same counts, same entry multiset: ``(n, LS, SS)`` and boxes bit for bit.
+
+    Returns the matched ``(expected, actual)`` entry pairs.
+    """
     assert actual.n_points == expected.n_points
     assert actual.entry_count() == expected.entry_count()
     assert actual.n_splits == expected.n_splits
     want = sorted(expected.entries(), key=entry_key)
     got = sorted(actual.entries(), key=entry_key)
-    for a, b in zip(want, got):
-        assert a.cf.n == b.cf.n
-        np.testing.assert_allclose(b.cf.ls, a.cf.ls, atol=atol, rtol=0)
-        np.testing.assert_allclose(b.cf.ss, a.cf.ss, atol=atol, rtol=0)
-        np.testing.assert_allclose(b.lo, a.lo, atol=atol, rtol=0)
-        np.testing.assert_allclose(b.hi, a.hi, atol=atol, rtol=0)
+    for moment in (
+        lambda entry: entry.cf.n,
+        lambda entry: entry.cf.ls,
+        lambda entry: entry.cf.ss,
+        lambda entry: entry.lo,
+        lambda entry: entry.hi,
+    ):
+        np.testing.assert_array_equal(
+            np.array([moment(entry) for entry in got]),
+            np.array([moment(entry) for entry in want]),
+        )
+    return list(zip(want, got))
+
+
+def assert_trees_equivalent(expected, actual, atol=1e-9):
+    """Identical main moments and boxes; crosses within accumulation noise."""
+    for a, b in assert_main_moments_identical(expected, actual):
         assert set(a.cross) == set(b.cross)
         for name in a.cross:
             assert a.cross[name].n == b.cross[name].n
@@ -135,6 +149,32 @@ class TestPointEquivalence:
         assert tree.n_points == 0
         assert tree.entry_count() == 0
         assert stats.items == 0
+
+
+class TestFlushOrder:
+    def test_cross_moments_add_items_in_item_order(self):
+        """A flush sums an entry's absorbed items from zero, in item order.
+
+        That order (``np.bincount``'s, as ``np.add.at``'s before it) is
+        part of the result: wide magnitudes make any other association
+        round differently.
+        """
+        rng = np.random.default_rng(20)
+        ys = rng.normal(size=200) * 10.0 ** rng.integers(-8, 9, size=200)
+        ys[0] = 0.1  # the entry's own value, materialized before any flush
+        tree = make_tree(threshold=1.0, cross={"y": 1})
+        tree.insert_points(np.zeros((200, 1)), {"y": ys[:, None]})
+        (entry,) = tree.entries()  # the first point's entry absorbed the rest
+        ls = ss = sequential = 0.0
+        for y in ys[1:].tolist():
+            ls += y
+            ss += y * y
+        for y in ys.tolist():
+            sequential += y
+        assert entry.cross["y"].n == 200
+        assert entry.cross["y"].ls[0] == ys[0] + ls
+        assert entry.cross["y"].ss[0] == ys[0] * ys[0] + ss
+        assert ys[0] + ls != sequential  # the data does tell the orders apart
 
 
 class TestEntryEquivalence:
@@ -252,3 +292,114 @@ class TestScanStats:
         text = stats.describe()
         assert "42 items" in text
         assert "2 new entries" in text
+
+
+class TestWbcdPartitions:
+    """The paper's Figure 6 shape: 30 one-attribute partitions of WBCD data.
+
+    Each partition's tree carries the other 29 attributes as 29 one-wide
+    cross partitions.  The sequential reference carries them as one
+    29-wide cross partition instead: elementwise it adds the same values
+    in the same order, at a fraction of the per-point cost.  The
+    magnitudes (areas in the thousands) make the cross tolerance relative.
+    """
+
+    @pytest.fixture(scope="class")
+    def wbcd(self):
+        relation = make_scaled_wbcd(2_000, outlier_fraction=0.05, seed=42)
+        names = relation.schema.names
+        matrix = np.column_stack([relation.column(name) for name in names])
+        references = []
+        for j in range(len(names)):
+            points = matrix[:, [j]]
+            rest = np.delete(matrix, j, axis=1)
+            tree = make_tree(
+                threshold=0.05 * float(points.std()), branching=8, leaf_capacity=8,
+                cross={"rest": rest.shape[1]},
+            )
+            for i in range(points.shape[0]):
+                tree.insert_point(points[i], {"rest": rest[i]})
+            references.append(tree)
+        return names, matrix, references
+
+    @pytest.fixture(scope="class")
+    def one_batch(self, wbcd):
+        """Each partition's tree from one ``insert_points`` call."""
+        names, matrix, references = wbcd
+        return [
+            self.scan(names, matrix, j, reference.threshold, matrix.shape[0])
+            for j, reference in enumerate(references)
+        ]
+
+    @staticmethod
+    def others(names, j):
+        return [name for name in names if name != names[j]]
+
+    @classmethod
+    def empty_tree(cls, names, j, threshold):
+        return make_tree(
+            threshold=threshold, branching=8, leaf_capacity=8,
+            cross={name: 1 for name in cls.others(names, j)},
+        )
+
+    @classmethod
+    def scan(cls, names, matrix, j, threshold, chunk_rows):
+        tree = cls.empty_tree(names, j, threshold)
+        stats = ScanStats()
+        for start in range(0, matrix.shape[0], chunk_rows):
+            block = matrix[start : start + chunk_rows]
+            tree.insert_points(
+                block[:, [j]],
+                {name: block[:, [k]] for k, name in enumerate(names) if k != j},
+                stats=stats,
+            )
+        assert stats.batches == -(-matrix.shape[0] // chunk_rows)
+        return tree
+
+    @staticmethod
+    def crosses(entries, names):
+        """``(n, LS, SS)`` of every entry's one-wide crosses as matrices."""
+        return (
+            np.array([[entry.cross[name].n for name in names] for entry in entries]),
+            np.array([[entry.cross[name].ls[0] for name in names] for entry in entries]),
+            np.array([[entry.cross[name].ss[0] for name in names] for entry in entries]),
+        )
+
+    def assert_matches_reference(self, reference, tree, others):
+        pairs = assert_main_moments_identical(reference, tree)
+        want = [a.cross["rest"] for a, _ in pairs]
+        got_n, got_ls, got_ss = self.crosses([b for _, b in pairs], others)
+        np.testing.assert_array_equal(got_n, [[cf.n] * len(others) for cf in want])
+        np.testing.assert_allclose(got_ls, [cf.ls for cf in want], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got_ss, [cf.ss for cf in want], rtol=1e-12, atol=0)
+
+    def test_one_batch_matches_sequential(self, wbcd, one_batch):
+        names, _, references = wbcd
+        assert len(names) == 30
+        for j, (reference, tree) in enumerate(zip(references, one_batch)):
+            assert reference.n_splits > 0
+            self.assert_matches_reference(reference, tree, self.others(names, j))
+
+    def test_256_row_chunks_match_sequential(self, wbcd):
+        names, matrix, references = wbcd
+        for j, reference in enumerate(references):
+            tree = self.scan(names, matrix, j, reference.threshold, 256)
+            self.assert_matches_reference(reference, tree, self.others(names, j))
+
+    def test_insert_entries_match_entry_loop(self, wbcd, one_batch):
+        names, _, references = wbcd
+        for j, (reference, fine) in enumerate(zip(references, one_batch)):
+            coarse = 4.0 * reference.threshold
+            replay = self.empty_tree(names, j, coarse)
+            for entry in fine.entries():
+                replay.insert_entry(entry.copy())
+            batched = self.empty_tree(names, j, coarse)
+            batched.insert_entries(list(fine.entries()))
+            assert batched.entry_count() < fine.entry_count()
+            pairs = assert_main_moments_identical(replay, batched)
+            others = self.others(names, j)
+            want = self.crosses([a for a, _ in pairs], others)
+            got = self.crosses([b for _, b in pairs], others)
+            np.testing.assert_array_equal(got[0], want[0])
+            for moment in (1, 2):
+                np.testing.assert_allclose(got[moment], want[moment], rtol=1e-12, atol=0)

@@ -1,7 +1,13 @@
 """Round-trip tests for CSV persistence."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.io import load_csv, save_csv
 from repro.data.relation import Relation, Schema
@@ -164,3 +170,173 @@ class TestLoadPlainCsv:
         path.write_text("a,b\n,1\n,2\n")
         relation = load_plain_csv(path)
         assert relation.schema["a"].kind is AttributeKind.NOMINAL
+
+
+def _write_numeric(path, rows, width):
+    names = [f"c{j}" for j in range(width)]
+    lines = ["# " + ",".join(f"{name}:interval" for name in names), ",".join(names)]
+    lines += [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _row_parsed(path):
+    """The row parser alone, as lenient and out-of-core loads use it."""
+    from repro.data import io
+
+    return io._load_rows(path, None, False, None, None)
+
+
+def _traced_load(path, **kwargs):
+    """``load_csv`` under tracing; returns ``(result, data.load spans)``."""
+    from repro.obs import trace
+
+    tracer = trace.enable_tracing(capacity=256)
+    try:
+        loaded = load_csv(path, **kwargs)
+    finally:
+        trace.disable_tracing()
+    return loaded, [s for s in tracer.spans() if s.name == "data.load"]
+
+
+def _assert_bitwise_equal(left, right):
+    assert left.schema == right.schema
+    assert len(left) == len(right)
+    for name in left.schema.names:
+        a = np.asarray(left.column(name), dtype=np.float64)
+        b = np.asarray(right.column(name), dtype=np.float64)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+
+#: Cells ``float()`` accepts that are easy to get subtly wrong: signed
+#: zeros, subnormals, overflow, every NaN/inf spelling, padding, and the
+#: underscore grouping only ``float()`` (not ``np.loadtxt``) accepts.
+_SPELLINGS = [
+    "-0.0", "0.0", "5e-324", "-2.225073858507201e-308", "1e400", "-1e400",
+    "nan", "NaN", "-nan", "+nan", "inf", "-inf", "+inf", "Infinity",
+    "-Infinity", "iNfInItY", " 1.5", "2.5 ", ".5", "5.", "+3", "1E3", "1_000",
+]
+_cells = st.one_of(
+    st.floats().map(repr),
+    st.floats(min_value=-1e-306, max_value=1e-306).map(repr),
+    st.sampled_from(_SPELLINGS),
+    st.integers(-10**7, 10**7).map(lambda value: f"{value:_}"),
+)
+
+
+class TestVectorIngest:
+    """The ``np.loadtxt`` fast path returns bitwise the row parser's columns."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(st.lists(_cells, min_size=width, max_size=width), max_size=8),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_columns_bitwise_equal_to_row_parser(self, shaped):
+        width, rows = shaped
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "cells.csv"
+            _write_numeric(path, rows, width)
+            loaded, (load_span,) = _traced_load(path)
+            _assert_bitwise_equal(loaded, _row_parsed(path))
+        underscored = any("_" in cell for row in rows for cell in row)
+        assert load_span.attributes["parser"] == ("rows" if underscored else "vector")
+
+    def test_underscore_grouping_comes_back_through_row_parser(self, tmp_path):
+        path = tmp_path / "grouped.csv"
+        _write_numeric(path, [["1_000"], ["2.5"]], 1)
+        loaded, (load_span,) = _traced_load(path)
+        assert load_span.attributes["parser"] == "rows"
+        assert loaded.column("c0").tolist() == [1000.0, 2.5]
+
+    def test_columns_are_contiguous_float64(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        _write_numeric(path, [["1", "2", "3"], ["4", "5", "6"]], 3)
+        loaded = load_csv(path)
+        for name in loaded.schema.names:
+            column = loaded.column(name)
+            assert column.dtype == np.float64
+            assert column.flags.c_contiguous
+        assert loaded.column("c1").tolist() == [2.0, 5.0]
+
+    def test_blank_lines_skipped_like_row_parser(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("# a:interval,b:interval\na,b\n\n1,2\n\r\n3,4\n\n")
+        loaded, (load_span,) = _traced_load(path)
+        assert load_span.attributes["parser"] == "vector"
+        _assert_bitwise_equal(loaded, _row_parsed(path))
+        assert len(loaded) == 2
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("1,2\nbogus,3\n", 4),      # a bad cell
+            ("1,2\n3\n", 4),            # a ragged row
+            ("1,2\n3,4,5\n", 4),        # a long row
+            ("1,2,3\n4,5,6\n", 3),      # every row one cell too wide
+            ("1\n2\n", 3),              # every row one cell short
+            ("1,2\n   \n3,4\n", 4),     # a whitespace-only line
+            ("   \n1,2\n", 3),          # ... as the first body line
+            ("1,2\n# note,3\n", 4),     # a body line starting with '#'
+            ("1,2\n\"3\",4\n", None),   # quoted cells parse; loadtxt rejects them
+        ],
+    )
+    def test_rejected_bodies_fall_back_to_row_parser(self, tmp_path, body, line):
+        from repro.resilience.errors import IngestError
+
+        path = tmp_path / "body.csv"
+        path.write_text("# a:interval,b:interval\na,b\n" + body)
+        if line is None:
+            loaded, (load_span,) = _traced_load(path)
+            assert load_span.attributes["parser"] == "rows"
+            _assert_bitwise_equal(loaded, _row_parsed(path))
+            return
+        with pytest.raises(IngestError) as fast:
+            load_csv(path)
+        with pytest.raises(IngestError) as rows:
+            _row_parsed(path)
+        assert str(fast.value) == str(rows.value)
+        assert f"{path}:{line}: " in str(fast.value)
+
+    def test_header_only_file_loads_empty_without_warning(self, tmp_path):
+        path = tmp_path / "header-only.csv"
+        path.write_text("# a:interval,b:interval\na,b\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded, (load_span,) = _traced_load(path)
+        assert len(loaded) == 0
+        assert load_span.attributes == {
+            "path": str(path), "parser": "vector", "rows": 0, "columns": 2,
+        }
+
+    def test_lenient_out_of_core_and_nominal_loads_use_row_parser(self, tmp_path):
+        from repro.resilience.sink import Quarantine
+
+        numeric = tmp_path / "numeric.csv"
+        _write_numeric(numeric, [["1", "2"], ["3", "4"]], 2)
+        nominal = tmp_path / "nominal.csv"
+        save_csv(
+            Relation.from_rows(Schema.of(x="interval", job="nominal"), [(1.0, "a")]),
+            nominal,
+        )
+        cases = [
+            (numeric, {"sink": Quarantine()}),
+            (numeric, {"out_of_core": True, "spill_dir": tmp_path / "spill"}),
+            (nominal, {}),
+        ]
+        for path, kwargs in cases:
+            loaded, (load_span,) = _traced_load(path, **kwargs)
+            assert load_span.attributes["parser"] == "rows"
+            assert load_span.attributes["rows"] == len(loaded)
+
+    def test_traced_load_emits_exactly_one_span(self, tmp_path):
+        path = tmp_path / "one.csv"
+        _write_numeric(path, [["1", "2"], ["3", "4"], ["5", "6"]], 2)
+        _, spans = _traced_load(path)
+        (load_span,) = spans
+        assert load_span.attributes["rows"] == 3
+        assert load_span.attributes["columns"] == 2
+        assert load_span.attributes["parser"] == "vector"

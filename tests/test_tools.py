@@ -1,6 +1,7 @@
 """Tests for repository tooling (docs generator)."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,32 @@ class TestApiDocsGenerator:
             assert f"## `{package}`" in text
         assert "DARMiner" in text
         assert ".mine(" in text
+
+    def test_output_is_deterministic(self, tmp_path, monkeypatch, capsys):
+        """No object addresses leak in, so regenerating never shows a diff."""
+        generator = load_generator()
+        monkeypatch.setattr(
+            generator, "__file__", str(tmp_path / "tools" / "gen_api_docs.py")
+        )
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "docs").mkdir()
+        out = tmp_path / "docs" / "API.md"
+        generator.main()
+        first = out.read_bytes()
+        generator.main()
+        assert out.read_bytes() == first
+        assert b"at 0x" not in first
+        assert b"= repro.metrics.distance.euclidean)" in first
+
+    def test_callable_defaults_render_by_qualified_name(self):
+        generator = load_generator()
+
+        def documented(metric=math.sqrt, count=3, kind=dict):
+            """Defaults of every sort."""
+
+        assert generator.signature_of(documented) == (
+            "(metric=math.sqrt, count=3, kind=builtins.dict)"
+        )
 
     def test_first_paragraph_extraction(self):
         generator = load_generator()
