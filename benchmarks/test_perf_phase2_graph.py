@@ -9,6 +9,13 @@ included), checks decision-equivalence (identical edge sets, identical
 ``GraphStats`` accounting) and gates a ``MIN_SPEEDUP`` throughput ratio,
 mirroring the Phase I batch-ingestion gate.  The ``assoc``-set stage of
 rule formation is measured the same way (reported, not gated).
+
+The ``rules`` row times §6.2 rule formation on the dense benchmark shape
+(8 co-occurring modes x 9 attributes, ~31k rules): the frozen per-rule
+reference loop (``tests/core/rule_reference.py``) against
+:func:`~repro.core.formation.form_rules`, both reading the same vector
+kernel, and asserts the two rule lists are identical (reported, not
+gated).  Its baseline column is that reference, not the scalar engine.
 """
 
 import itertools
@@ -17,11 +24,16 @@ import time
 from repro.birch.features import CF
 from repro.birch.tree import ACFTree
 from repro.core.cluster import Cluster, image_distance
+from repro.core.config import DARConfig
+from repro.core.formation import form_rules
 from repro.core.graph import build_clustering_graph
+from repro.core.miner import DARMiner
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.data.relation import AttributePartition
+from repro.data.synthetic import make_clustered_relation
 from repro.data.wbcd import make_scaled_wbcd, make_wbcd_like
 from repro.report.tables import Table
+from tests.core.rule_reference import reference_rules
 
 from conftest import bench_scale
 
@@ -82,6 +94,26 @@ def scalar_assoc(clusters, degree_thresholds):
     return assoc
 
 
+def dense_phase2():
+    """The dense benchmark shape mined once: its graph, cliques and thresholds."""
+    relation, _ = make_clustered_relation(
+        n_modes=8, points_per_mode=int(round(150 * bench_scale())), n_attributes=9,
+        spread=1.0, outlier_fraction=0.0, seed=1,
+    )
+    return DARMiner(DARConfig()).mine(relation)
+
+
+def time_rule_formation(run):
+    dense = dense_phase2()
+    graph, config = dense.graph, DARConfig()
+    kernel = Phase2Kernel(list(graph.clusters.values()), metric=config.metric)
+    args = (graph, dense.cliques, dense.degree_thresholds, config)
+    for label, form in (("reference", reference_rules), ("formed", form_rules)):
+        started = time.perf_counter()
+        run[f"rules:{label}"] = form(*args, kernel=kernel)
+        run[f"rules:{label}_seconds"] = time.perf_counter() - started
+
+
 def run_comparison():
     names, clusters, thresholds = build_population()
     degree = {name: DEGREE_FACTOR * value for name, value in thresholds.items()}
@@ -114,6 +146,7 @@ def run_comparison():
     run["assoc:vector"] = kernel.assoc_sets(degree)
     run["assoc:vector_seconds"] = time.perf_counter() - started
 
+    time_rule_formation(run)
     return run
 
 
@@ -130,9 +163,10 @@ def test_perf_phase2_graph(benchmark, emit):
     k = len(run["clusters"])
 
     table = Table(
-        "Scalar vs vectorized Phase II "
-        f"(fig6 workload, {N_ATTRIBUTES} partitions, {k} clusters)",
-        ["stage", "scalar s", "vector s", "speedup", "edges", "comparisons",
+        "Phase II baseline vs optimised: graph/assoc scalar vs vector "
+        f"(fig6 workload, {N_ATTRIBUTES} partitions, {k} clusters); "
+        "rules per-rule reference vs form_rules (dense shape)",
+        ["stage", "baseline s", "optimised s", "speedup", "edges", "comparisons",
          "pruned"],
     )
     for label in ("graph", "graph+prune"):
@@ -153,6 +187,13 @@ def test_perf_phase2_graph(benchmark, emit):
         run["assoc:scalar_seconds"] / run["assoc:vector_seconds"],
         "", "", "",
     )
+    table.add_row(
+        f"rules ({len(run['rules:formed'])}, dense)",
+        run["rules:reference_seconds"],
+        run["rules:formed_seconds"],
+        run["rules:reference_seconds"] / run["rules:formed_seconds"],
+        "", "", "",
+    )
     emit(table, "perf_phase2_graph.txt")
 
     # Decision-equivalence: identical edges and identical accounting.
@@ -165,6 +206,11 @@ def test_perf_phase2_graph(benchmark, emit):
         assert scalar_graph.stats.skipped == vector_graph.stats.skipped
         assert scalar_graph.stats.edges == vector_graph.stats.edges
     assert run["assoc:scalar"] == run["assoc:vector"]
+    formed, reference = run["rules:formed"], run["rules:reference"]
+    assert [str(r) for r in formed] == [str(r) for r in reference]
+    assert [(r.degree.hex(), r.degrees) for r in formed] == [
+        (r.degree.hex(), r.degrees) for r in reference
+    ]
 
     speedup = run["graph:scalar_seconds"] / run["graph:vector_seconds"]
     assert speedup >= MIN_SPEEDUP, (

@@ -3,6 +3,7 @@
 from repro.core.cliques import maximal_cliques, non_trivial_cliques
 from repro.core.cluster import CLUSTER_METRICS, Cluster, image_distance
 from repro.core.config import DARConfig
+from repro.core.formation import form_rules
 from repro.core.gqar import GQARConfig, GQARMiner, GQARResult, GQARRule
 from repro.core.graph import (
     GRAPH_ENGINES,
@@ -38,6 +39,7 @@ __all__ = [
     "Cluster",
     "image_distance",
     "DARConfig",
+    "form_rules",
     "GQARConfig",
     "GQARMiner",
     "GQARResult",

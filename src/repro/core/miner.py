@@ -15,7 +15,8 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from repro.birch.batch import ScanStats
 from repro.birch.birch import BirchClusterer, Phase1Stats, assign_to_centroids
 from repro.birch.features import CF
 from repro.core.cliques import maximal_cliques, non_trivial_cliques
-from repro.core.cluster import Cluster, image_distance
+from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
+from repro.core.formation import form_rules
 from repro.core.graph import ClusteringGraph, build_clustering_graph
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.core.postprocess import select_rules
@@ -227,6 +229,104 @@ class DARResult:
         return result_to_json(self, indent=indent)
 
 
+def phase2_stages(
+    flat: Sequence[Cluster],
+    density: Mapping[str, float],
+    degree: Mapping[str, float],
+    config: DARConfig,
+    phase2: Phase2Stats,
+    targets: Optional[FrozenSet[str]] = None,
+    make_kernel: Optional[Callable[[Sequence[Cluster]], Phase2Kernel]] = None,
+) -> Tuple[ClusteringGraph, List[FrozenSet[int]], List[DistanceRule]]:
+    """Phase II over ``flat`` frequent clusters: extract, graph, cliques, rules.
+
+    The one stage sequence of the batch, parallel and streaming miners.
+    Each stage runs in its ``phase2.<stage>`` span and records its
+    seconds, the resolved engine, graph counts and any vector→scalar
+    degradation event in ``phase2``.  ``density`` holds the per-partition
+    ``d0``; ``make_kernel`` builds the vector kernel (default: a serial
+    :class:`~repro.core.phase2_kernel.Phase2Kernel` under
+    ``config.metric``).
+    """
+    if make_kernel is None:
+        make_kernel = partial(Phase2Kernel, metric=config.metric)
+    engine = config.phase2_engine
+    if engine == "auto":
+        engine = "vector" if Phase2Kernel.supports(flat) else "scalar"
+
+    # Image-moment extraction: every frequent cluster's (N, LS, SS) on
+    # every partition, stacked once, reused by the graph build AND the
+    # rule-formation stage below.
+    stage = time.perf_counter()
+    kernel: Optional[Phase2Kernel] = None
+    if engine == "vector":
+        with span("phase2.extract", clusters=len(flat)):
+            try:
+                faults.fire("phase2.kernel")
+                kernel = make_kernel(flat)
+            except Exception as error:
+                phase2.events.append(record_guard_event(
+                    "kernel_fallback",
+                    f"vector Phase II kernel failed during moment extraction "
+                    f"({error}); degraded to the scalar engine",
+                ))
+                engine = "scalar"
+                kernel = None
+    phase2.extract_seconds = time.perf_counter() - stage
+
+    lenient = {name: config.phase2_leniency * d0 for name, d0 in density.items()}
+    stage = time.perf_counter()
+    with span("phase2.graph") as graph_span:
+        if kernel is not None:
+            try:
+                graph = kernel.build_graph(
+                    lenient,
+                    use_density_pruning=config.use_density_pruning,
+                    pruning_diameter_factor=config.pruning_diameter_factor,
+                )
+            except Exception as error:
+                phase2.events.append(record_guard_event(
+                    "kernel_fallback",
+                    f"vector Phase II kernel failed during graph build "
+                    f"({error}); degraded to the scalar engine",
+                ))
+                engine = "scalar"
+                kernel = None
+                graph = None
+        if kernel is None:
+            graph = build_clustering_graph(
+                flat,
+                lenient,
+                metric=config.metric,
+                use_density_pruning=config.use_density_pruning,
+                pruning_diameter_factor=config.pruning_diameter_factor,
+                engine="scalar",
+            )
+        graph_span.set("engine", engine)
+        graph_span.set("edges", graph.n_edges)
+    phase2.engine = engine
+    phase2.graph_seconds = time.perf_counter() - stage
+
+    stage = time.perf_counter()
+    with span("phase2.cliques") as clique_span:
+        cliques = maximal_cliques(graph.adjacency)
+        clique_span.set("cliques", len(cliques))
+    phase2.clique_seconds = time.perf_counter() - stage
+
+    stage = time.perf_counter()
+    with span("phase2.rules") as rules_span:
+        rules = form_rules(
+            graph, cliques, degree, config, targets=targets, kernel=kernel
+        )
+        rules_span.set("rules", len(rules))
+    phase2.rules_seconds = time.perf_counter() - stage
+
+    phase2.n_edges = graph.n_edges
+    phase2.comparisons = graph.stats.comparisons
+    phase2.comparisons_skipped = graph.stats.skipped
+    return graph, cliques, rules
+
+
 class DARMiner:
     """Mines distance-based association rules from a relation.
 
@@ -331,89 +431,10 @@ class DARMiner:
             "phase2", frequent_clusters=len(flat_frequent)
         ) as phase2_span:
             if len(frequent_clusters) >= 2:
-                engine = self.config.phase2_engine
-                if engine == "auto":
-                    engine = (
-                        "vector"
-                        if Phase2Kernel.supports(flat_frequent)
-                        else "scalar"
-                    )
-
-                # Image-moment extraction: every frequent cluster's
-                # (N, LS, SS) on every partition, stacked once, reused by
-                # the graph build AND the rule-formation stage below.
-                stage = time.perf_counter()
-                kernel: Optional[Phase2Kernel] = None
-                if engine == "vector":
-                    with span("phase2.extract", clusters=len(flat_frequent)):
-                        try:
-                            faults.fire("phase2.kernel")
-                            kernel = self._make_kernel(flat_frequent)
-                        except Exception as error:
-                            phase2.events.append(record_guard_event(
-                                "kernel_fallback",
-                                f"vector Phase II kernel failed during moment "
-                                f"extraction ({error}); degraded to the "
-                                f"scalar engine",
-                            ))
-                            engine = "scalar"
-                            kernel = None
-                phase2.extract_seconds = time.perf_counter() - stage
-
-                lenient = {
-                    name: self.config.phase2_leniency * threshold
-                    for name, threshold in density.items()
-                }
-                stage = time.perf_counter()
-                with span("phase2.graph") as graph_span:
-                    if kernel is not None:
-                        try:
-                            graph = kernel.build_graph(
-                                lenient,
-                                use_density_pruning=self.config.use_density_pruning,
-                                pruning_diameter_factor=self.config.pruning_diameter_factor,
-                            )
-                        except Exception as error:
-                            phase2.events.append(record_guard_event(
-                                "kernel_fallback",
-                                f"vector Phase II kernel failed during graph "
-                                f"build ({error}); degraded to the scalar "
-                                f"engine",
-                            ))
-                            engine = "scalar"
-                            kernel = None
-                            graph = None
-                    if kernel is None:
-                        graph = build_clustering_graph(
-                            flat_frequent,
-                            lenient,
-                            metric=self.config.metric,
-                            use_density_pruning=self.config.use_density_pruning,
-                            pruning_diameter_factor=self.config.pruning_diameter_factor,
-                            engine="scalar",
-                        )
-                    graph_span.set("engine", engine)
-                    graph_span.set("edges", graph.n_edges)
-                phase2.engine = engine
-                phase2.graph_seconds = time.perf_counter() - stage
-
-                stage = time.perf_counter()
-                with span("phase2.cliques") as clique_span:
-                    cliques = maximal_cliques(graph.adjacency)
-                    clique_span.set("cliques", len(cliques))
-                phase2.clique_seconds = time.perf_counter() - stage
-
-                stage = time.perf_counter()
-                with span("phase2.rules") as rules_span:
-                    rules = self._rules_from_cliques(
-                        graph, cliques, degree, targets=target_set, kernel=kernel
-                    )
-                    rules_span.set("rules", len(rules))
-                phase2.rules_seconds = time.perf_counter() - stage
-
-                phase2.n_edges = graph.n_edges
-                phase2.comparisons = graph.stats.comparisons
-                phase2.comparisons_skipped = graph.stats.skipped
+                graph, cliques, rules = phase2_stages(
+                    flat_frequent, density, degree, self.config, phase2,
+                    targets=target_set, make_kernel=self._make_kernel,
+                )
             phase2.n_cliques = len(cliques)
             phase2.n_non_trivial_cliques = len(non_trivial_cliques(cliques))
 
@@ -599,166 +620,6 @@ class DARMiner:
                 partition.name, derived
             )
         return thresholds
-
-    # ------------------------------------------------------------------
-
-    def _rules_from_cliques(
-        self,
-        graph: ClusteringGraph,
-        cliques: Sequence[FrozenSet[int]],
-        degree_thresholds: Mapping[str, float],
-        targets: Optional[FrozenSet[str]] = None,
-        kernel: Optional[Phase2Kernel] = None,
-    ) -> List[DistanceRule]:
-        """Section 6.2 rule formation, deduplicated across clique pairs.
-
-        For every sub-clique chosen as a consequent, the antecedent
-        candidates are the intersection of the consequents' ``assoc`` sets;
-        any antecedent subset that is itself a clique (i.e. lies inside
-        some maximal clique Q1) and is partition-disjoint from the
-        consequent yields a rule.  Enumerating antecedent subsets that are
-        pairwise adjacent is exactly equivalent to enumerating subsets of
-        all maximal cliques Q1, without visiting the same rule once per
-        containing clique.
-
-        With ``kernel`` given, the assoc sets, candidate ranking and rule
-        degrees all read the kernel's cached pairwise-distance matrices
-        instead of re-deriving image CFs per pair.
-        """
-        metric = self.config.metric
-        clusters = graph.clusters
-        dist = self._distance_fn(kernel, metric)
-
-        # assoc(C_Y) over *all* frequent clusters: antecedent candidates
-        # whose image on Y's partition sits within D0 of C_Y (Section 6.2).
-        # With targets set, only target-partition clusters can be
-        # consequents, so only their assoc sets are ever needed.
-        if kernel is not None:
-            assoc = kernel.assoc_sets(degree_thresholds, targets=targets)
-        else:
-            assoc = {}
-            for y_uid, y_cluster in clusters.items():
-                y_name = y_cluster.partition.name
-                if targets is not None and y_name not in targets:
-                    continue
-                threshold = degree_thresholds[y_name]
-                members: Set[int] = set()
-                for x_uid, x_cluster in clusters.items():
-                    if x_cluster.partition.name == y_name:
-                        continue
-                    if dist(x_cluster, y_cluster, y_name) <= threshold:
-                        members.add(x_uid)
-                assoc[y_uid] = members
-
-        seen: Set[Tuple[frozenset, frozenset]] = set()
-        rules: List[DistanceRule] = []
-
-        for clique in cliques:
-            ordered = sorted(clique)
-            max_y = min(self.config.max_consequent, len(ordered))
-            for y_size in range(1, max_y + 1):
-                for consequent_uids in itertools.combinations(ordered, y_size):
-                    consequent = tuple(clusters[u] for u in consequent_uids)
-                    consequent_names = {c.partition.name for c in consequent}
-                    if targets is not None and not consequent_names <= targets:
-                        continue
-                    candidates = set.intersection(
-                        *(assoc[u] for u in consequent_uids)
-                    )
-                    candidates -= set(consequent_uids)
-                    candidates = {
-                        u
-                        for u in candidates
-                        if clusters[u].partition.name not in consequent_names
-                    }
-                    if not candidates:
-                        continue
-                    ranked = self._rank_candidates(
-                        candidates, consequent, clusters, dist
-                    )
-                    for antecedent_uids in self._antecedent_subsets(ranked, graph):
-                        antecedent = tuple(clusters[u] for u in antecedent_uids)
-                        antecedent_names = [
-                            c.partition.name for c in antecedent
-                        ]
-                        if len(set(antecedent_names)) != len(antecedent_names):
-                            continue
-                        key = (frozenset(antecedent_uids), frozenset(consequent_uids))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        rules.append(
-                            self._make_rule(antecedent, consequent, dist)
-                        )
-        rules.sort(key=lambda rule: (rule.degree, str(rule)))
-        return rules
-
-    @staticmethod
-    def _distance_fn(kernel: Optional[Phase2Kernel], metric: str):
-        """``dist(x_cluster, y_cluster, on) -> float`` for rule formation:
-        a cached-matrix lookup under the vector engine, a per-pair
-        ``image_distance`` call under the scalar one."""
-        if kernel is not None:
-            return lambda a, b, on: kernel.distance(a.uid, b.uid, on)
-        return lambda a, b, on: image_distance(a, b, on=on, metric=metric)
-
-    def _rank_candidates(
-        self,
-        candidates: Set[int],
-        consequent: Tuple[Cluster, ...],
-        clusters: Mapping[int, Cluster],
-        dist,
-    ) -> List[int]:
-        """Bound the antecedent search: keep the strongest-associated
-        ``max_antecedent_candidates`` clusters (smallest worst-case image
-        distance to the consequent), deterministically ordered."""
-        def strength(uid: int) -> float:
-            x_cluster = clusters[uid]
-            return max(
-                dist(x_cluster, y_cluster, y_cluster.partition.name)
-                for y_cluster in consequent
-            )
-
-        ranked = sorted(candidates, key=lambda uid: (strength(uid), uid))
-        return ranked[: self.config.max_antecedent_candidates]
-
-    def _antecedent_subsets(
-        self, candidates: Sequence[int], graph: ClusteringGraph
-    ):
-        """Non-empty pairwise-adjacent subsets of ``candidates`` (bounded size).
-
-        Size-1 subsets are always cliques; larger subsets require every
-        pair to share a graph edge, which is the Dfn 5.2/5.3 condition
-        that co-antecedent clusters occur together.
-        """
-        max_size = min(self.config.max_antecedent, len(candidates))
-        for size in range(1, max_size + 1):
-            for subset in itertools.combinations(candidates, size):
-                if size == 1 or all(
-                    graph.has_edge(a, b)
-                    for a, b in itertools.combinations(subset, 2)
-                ):
-                    yield subset
-
-    @staticmethod
-    def _make_rule(
-        antecedent: Tuple[Cluster, ...],
-        consequent: Tuple[Cluster, ...],
-        dist,
-    ) -> DistanceRule:
-        degrees: Dict[int, float] = {}
-        worst = 0.0
-        for y_cluster in consequent:
-            y_name = y_cluster.partition.name
-            y_worst = 0.0
-            for x_cluster in antecedent:
-                distance = dist(x_cluster, y_cluster, y_name)
-                y_worst = max(y_worst, distance)
-            degrees[y_cluster.uid] = y_worst
-            worst = max(worst, y_worst)
-        return DistanceRule(
-            antecedent=antecedent, consequent=consequent, degree=worst, degrees=degrees
-        )
 
     # ------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ fall back to the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.profile import profiled
 from repro.obs.trace import span
 
-__all__ = ["ImageMoments", "Phase2Kernel", "pairwise_block", "require_finite"]
+__all__ = ["ImageMoments", "Phase2Kernel", "assoc_mask", "pairwise_block", "require_finite"]
 
 
 def pairwise_block(
@@ -88,6 +88,30 @@ def require_finite(array: np.ndarray, what: str, partition_name: str) -> None:
         f"entr{'y' if bad == 1 else 'ies'} — the cluster moments feeding "
         f"Phase II are degenerate (non-finite input values?)"
     )
+
+
+def assoc_mask(
+    table: np.ndarray,
+    partition_of: np.ndarray,
+    partition_names: Sequence[str],
+    degree_thresholds: Mapping[str, float],
+    targets: Optional[Iterable[str]] = None,
+) -> np.ndarray:
+    """``mask[x, y]`` — is cluster ``x`` in ``assoc(C_y)`` (§6.2)?
+
+    True when ``table[x, y] <= D0`` of ``y``'s partition and ``x`` lies
+    on another partition; ``table`` is shaped like
+    :meth:`Phase2Kernel.distance_table` and ``partition_of[i]`` indexes
+    ``partition_names``.  Columns of clusters off ``targets`` are False.
+    """
+    thresholds = np.array([
+        degree_thresholds[name] if targets is None or name in targets else -np.inf
+        for name in partition_names
+    ], dtype=np.float64)
+    return (table <= thresholds[partition_of][None, :]) & (
+        partition_of[:, None] != partition_of[None, :]
+    )
+
 
 #: Row-block size for pairwise-distance materialization.  D1 needs a
 #: (block, k, dim) intermediate; 256 rows keeps that under a few MB for
@@ -396,6 +420,22 @@ class Phase2Kernel:
     # Rule formation (§6.2) support
     # ------------------------------------------------------------------
 
+    def distance_table(self, partition_names: Optional[Iterable[str]] = None) -> np.ndarray:
+        """``table[x, y] = D(C_x[Y], C_y[Y])``, ``Y`` the partition of cluster ``y``.
+
+        The one k x k table §6.2 rule formation reads, gathered column by
+        column from the cached ``pairwise_on(Y)`` matrices.  Only columns
+        of clusters on ``partition_names`` (default: all) are filled; the
+        rest stay zero.
+        """
+        wanted = set(self.partition_names if partition_names is None else partition_names)
+        table = np.zeros((self.k, self.k), dtype=np.float64)
+        for p, name in enumerate(self.partition_names):
+            if name in wanted:
+                columns = np.flatnonzero(self.partition_of == p)
+                table[:, columns] = self.pairwise_on(name)[:, columns]
+        return table
+
     def assoc_sets(
         self,
         degree_thresholds: Mapping[str, float],
@@ -405,20 +445,19 @@ class Phase2Kernel:
 
         ``assoc(C_Y)`` is the set of frequent clusters over *other*
         partitions whose image on Y's partition lies within ``D0_Y`` of
-        ``C_Y`` — the antecedent candidate pool of §6.2 rule formation.
+        ``C_Y`` — the antecedent candidate pool of §6.2 rule formation,
+        read off the :func:`assoc_mask` that rule formation applies.
         """
-        assoc: Dict[int, Set[int]] = {}
+        mask = assoc_mask(
+            self.distance_table(targets), self.partition_of,
+            self.partition_names, degree_thresholds, targets,
+        )
+        wanted = [
+            p for p, name in enumerate(self.partition_names)
+            if targets is None or name in targets
+        ]
         uids = self.uids
-        for p, name in enumerate(self.partition_names):
-            if targets is not None and name not in targets:
-                continue
-            rows = np.nonzero(self.partition_of == p)[0]
-            if rows.size == 0:
-                continue
-            threshold = float(degree_thresholds[name])
-            others = self.partition_of != p
-            distances = self.pairwise_on(name)
-            for row in rows:
-                members = others & (distances[row] <= threshold)
-                assoc[int(uids[row])] = {int(u) for u in uids[members]}
-        return assoc
+        return {
+            int(uids[y]): set(uids[mask[:, y]].tolist())
+            for y in np.flatnonzero(np.isin(self.partition_of, wanted))
+        }

@@ -35,6 +35,7 @@ from repro.birch.birch import BirchClusterer, assign_to_centroids
 from repro.birch.features import CF
 from repro.core.cliques import maximal_cliques, non_trivial_cliques
 from repro.core.config import DARConfig
+from repro.core.formation import form_rules
 from repro.core.graph import ClusteringGraph, build_clustering_graph
 from repro.core.miner import DARMiner, Phase2Stats
 from repro.core.rules import DistanceRule
@@ -279,7 +280,7 @@ class MixedDARMiner(DARMiner):
                 pruning_diameter_factor=self.config.pruning_diameter_factor,
             )
             cliques = maximal_cliques(graph.adjacency)
-            rules = self._rules_from_cliques(graph, cliques, degree)
+            rules = form_rules(graph, cliques, degree, self.config)
             # A rule mixing two generalization levels of one attribute
             # (job=honda with job@1=car) is vacuous: drop it.
             rules = [

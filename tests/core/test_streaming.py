@@ -9,6 +9,7 @@ from repro.core.miner import DARMiner
 from repro.core.streaming import StreamingDARMiner
 from repro.data.relation import AttributePartition, Relation, Schema
 from repro.data.synthetic import make_clustered_relation
+from repro.obs import trace
 
 PARTITIONS = [
     AttributePartition("a0", ("a0",)),
@@ -164,3 +165,17 @@ class TestStreamingBehaviour:
             assert miner._memory_models[partition.name].tree_bytes(
                 *tree.summary_counts()
             ) <= model_bytes
+
+
+class TestPhase2Stages:
+    def test_vector_rules_time_and_trace_the_extract_stage(self):
+        _, batches, _ = make_batches()
+        miner = StreamingDARMiner(PARTITIONS, DARConfig(phase2_engine="vector"))
+        for batch in batches:
+            miner.update(batch)
+        tracer = trace.enable_tracing(capacity=4096)
+        result = miner.rules()
+        assert result.phase2.engine == "vector"
+        assert result.phase2.extract_seconds > 0
+        extract = [s for s in tracer.spans() if s.name == "phase2.extract"]
+        assert len(extract) == 1
