@@ -6,6 +6,9 @@ that depends on ``C_Y`` alone, never on the clique it was drawn from, so
 each distinct consequent is formed once, the first time the clique walk
 reaches it.  Every distance is a lookup in one table
 ``A[x, y] = D(C_x[Y], C_y[Y])`` (``Y`` the partition of ``C_y``).
+The final ``(degree, str(rule))`` order comes from label-rank tokens of
+those same table rows (:func:`~repro.core.rules.description_rank`), so
+no rule is rendered to be sorted.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.core.cluster import Cluster, image_distance
 from repro.core.config import DARConfig
 from repro.core.graph import ClusteringGraph
 from repro.core.phase2_kernel import Phase2Kernel, assoc_mask, require_finite
-from repro.core.rules import DistanceRule
+from repro.core.rules import DistanceRule, description_rank
 
 __all__ = ["form_rules"]
 
@@ -67,6 +70,7 @@ def form_rules(
 
     seen = set()
     rules: List[DistanceRule] = []
+    batches: List[tuple] = []
     for clique in cliques:
         members = sorted(
             uid for uid in clique
@@ -78,10 +82,35 @@ def form_rules(
                     seen.add(consequent)
                     _consequent_rules(
                         consequent, [index[uid] for uid in consequent], order,
-                        table, assoc, compatible, config, rules,
+                        table, assoc, compatible, config, rules, batches,
                     )
-    rules.sort(key=lambda rule: (rule.degree, str(rule)))
-    return rules
+    return _sorted_rules(rules, batches, order)
+
+
+def _sorted_rules(rules, batches, order) -> List[DistanceRule]:
+    """``rules`` sorted by ``(degree, str(rule))``, rendering none of them.
+
+    ``batches`` holds, per appended run of rules, their antecedent table
+    rows (one row per rule), the consequent's table rows and the degrees.
+    """
+    if not rules:
+        return rules
+    sizes = [(len(ant), ant.shape[1], len(ys)) for ant, ys, _ in batches]
+    rank = description_rank(
+        [str(cluster) for cluster in order],
+        _offsets([np.full(m, s) for m, s, _ in sizes]),
+        np.concatenate([ant.ravel() for ant, _, _ in batches]),
+        _offsets([np.full(m, c) for m, _, c in sizes]),
+        np.concatenate([np.tile(ys, len(ant)) for ant, ys, _ in batches]),
+        lambda i: str(rules[i]),
+    )
+    degree = np.concatenate([degrees for _, _, degrees in batches])
+    return [rules[i] for i in np.lexsort((rank, degree)).tolist()]
+
+
+def _offsets(lengths: List[np.ndarray]) -> np.ndarray:
+    """CSR offsets of the concatenated per-rule ``lengths``."""
+    return np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
 
 
 def _scalar_distance_table(order, part, names, targets, metric) -> np.ndarray:
@@ -110,8 +139,10 @@ def _consequent_rules(
     compatible: np.ndarray,
     config: DARConfig,
     rules: List[DistanceRule],
+    batches: List[tuple],
 ) -> None:
-    """Append the rules concluding ``consequent`` (uids; table rows ``ys``)."""
+    """Append the rules concluding ``consequent`` (uids; table rows ``ys``),
+    and their order-key rows to ``batches``."""
     # assoc(C_y) excludes y's own partition, so the intersection already
     # excludes every consequent partition.
     candidates = np.flatnonzero(assoc[:, ys].all(axis=1))
@@ -132,13 +163,15 @@ def _consequent_rules(
     subsets = np.arange(ranked.size)[:, None]
     while True:
         per_consequent = distances[subsets].max(axis=1)
+        degrees = per_consequent.max(axis=1)
         rules.extend(map(
             DistanceRule,
             map(tuple, clusters[subsets].tolist()),
             itertools.repeat(right),
-            per_consequent.max(axis=1).tolist(),
+            degrees.tolist(),
             [dict(zip(consequent, row)) for row in per_consequent.tolist()],
         ))
+        batches.append((ranked[subsets], ys, degrees))
         if subsets.shape[1] == config.max_antecedent:
             return
         grow = later[subsets[:, -1]]

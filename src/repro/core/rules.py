@@ -14,11 +14,25 @@ consequent clusters.  Its interest measures replace the classical pair:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.cluster import Cluster
 
-__all__ = ["DistanceRule", "RuleList", "validate_rule_partitions"]
+__all__ = [
+    "DistanceRule",
+    "RuleList",
+    "describe_rule",
+    "description_rank",
+    "text_rank",
+    "validate_rule_partitions",
+]
+
+#: Order codes of the text that follows a label in a rule description:
+#: `` & `` < `` (degree`` < `` => `` (``&`` < ``(`` < ``=``).  Label
+#: tokens are label ranks offset past these codes.
+_AND, _DEGREE, _IMPLIES, _LABEL = 0, 1, 2, 3
 
 
 def validate_rule_partitions(
@@ -83,12 +97,12 @@ class DistanceRule:
         return self.antecedent_uids, self.consequent_uids
 
     def __str__(self) -> str:
-        lhs = " & ".join([str(cluster) for cluster in self.antecedent])
-        rhs = " & ".join([str(cluster) for cluster in self.consequent])
-        suffix = f" (degree={self.degree:.4g}"
-        if self.support_count is not None:
-            suffix += f", support={self.support_count}"
-        return f"{lhs} => {rhs}{suffix})"
+        return describe_rule(
+            [str(cluster) for cluster in self.antecedent],
+            [str(cluster) for cluster in self.consequent],
+            self.degree,
+            self.support_count,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceRule):
@@ -97,6 +111,96 @@ class DistanceRule:
 
     def __hash__(self) -> int:
         return hash(self.key())
+
+
+def describe_rule(
+    antecedent: Sequence[str],
+    consequent: Sequence[str],
+    degree: float,
+    support_count: Optional[int] = None,
+) -> str:
+    """A rule's description from its clusters' labels: ``str(rule)``."""
+    suffix = f" (degree={degree:.4g}"
+    if support_count is not None:
+        suffix += f", support={support_count}"
+    return f"{' & '.join(antecedent)} => {' & '.join(consequent)}{suffix})"
+
+
+def text_rank(texts: Sequence[str]) -> np.ndarray:
+    """Dense rank of each string in ``texts`` (equal strings, equal rank)."""
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    rank = np.empty(len(texts), dtype=np.int64)
+    current, previous = -1, None
+    for i in order:
+        if current < 0 or texts[i] != previous:
+            current, previous = current + 1, texts[i]
+        rank[i] = current
+    return rank
+
+
+def description_rank(
+    labels: Sequence[str],
+    ant_offsets: np.ndarray,
+    ant_codes: np.ndarray,
+    con_offsets: np.ndarray,
+    con_codes: np.ndarray,
+    describe: Callable[[int], str],
+) -> np.ndarray:
+    """Dense rank of each rule's description, rendering none of them.
+
+    Rules are CSR-encoded: rule ``i`` concludes ``labels[con_codes[j]]``
+    for ``j`` in ``con_offsets[i]:con_offsets[i + 1]`` from the
+    antecedent labels picked out the same way.  ``describe(i)`` must
+    return ``str`` of rule ``i``; it is called only to break ties.
+
+    A description ``L_a1 & … => L_c1 & … (degree=…)`` compares label by
+    label when no label is a prefix of another (``C1(`` and ``C12(``
+    differ before either ends), and where labels match the separators
+    decide: `` & `` < `` (degree`` < `` => ``.  So the token row
+    ``(rank(L_a1)+3, 0, …, 2, rank(L_c1)+3, 0, …, 1)`` orders rules as
+    their text does.  Rows with equal tokens (the same labels) are
+    ordered by their rendered text.  Prefixed labels or an empty side
+    fall back to ranking every rendered description.
+    """
+    n = len(ant_offsets) - 1
+    ant_len, con_len = np.diff(ant_offsets), np.diff(con_offsets)
+    ordered = sorted(range(len(labels)), key=labels.__getitem__)
+    prefixed = any(
+        labels[b].startswith(labels[a]) for a, b in zip(ordered, ordered[1:])
+    )
+    if prefixed or not (ant_len.all() and con_len.all()):
+        return text_rank([describe(i) for i in range(n)])
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+
+    label_rank = np.empty(len(labels), dtype=np.int64)
+    label_rank[ordered] = np.arange(len(labels)) + _LABEL
+    tokens = np.zeros((n, 2 * int((ant_len + con_len).max())), dtype=np.int64)
+    for offsets, codes, lengths, skip, last in (
+        (ant_offsets, ant_codes, ant_len, np.zeros_like(ant_len), _IMPLIES),
+        (con_offsets, con_codes, con_len, ant_len, _DEGREE),
+    ):
+        rows = np.repeat(np.arange(n), lengths)
+        slot = np.arange(len(codes)) - np.repeat(offsets[:-1], lengths)
+        column = 2 * (skip[rows] + slot)
+        tokens[rows, column] = label_rank[codes]
+        tokens[rows, column + 1] = np.where(slot == lengths[rows] - 1, last, _AND)
+
+    order = np.lexsort(tokens.T[::-1])
+    ranked = tokens[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], n)
+    tied = ends - starts > 1
+    for lo, hi in zip(starts[tied].tolist(), ends[tied].tolist()):
+        texts = {i: describe(i) for i in order[lo:hi].tolist()}
+        group = sorted(texts, key=texts.__getitem__)
+        order[lo:hi] = group
+        new[lo + 1:hi] = [texts[a] != texts[b] for a, b in zip(group, group[1:])]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank
 
 
 class RuleList(list):

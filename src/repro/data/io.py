@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from pathlib import Path
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -42,16 +43,40 @@ def save_csv(relation: Relation, path: PathLike) -> None:
             for attribute in relation.schema
         )
         handle.write(f"# {schema_line}\n")
-        writer = csv.writer(handle)
-        writer.writerow(relation.schema.names)
-        for row in relation.rows():
-            writer.writerow([_render(value) for value in row])
+        csv.writer(handle).writerow(relation.schema.names)
+        names = relation.schema.names
+        columns = [_csv_fields(relation.column(name), len(names) == 1) for name in names]
+        handle.writelines(f"{','.join(row)}\r\n" for row in zip(*columns))
+
+
+#: The characters that make ``csv.writer`` (``QUOTE_MINIMAL``) quote a field.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_fields(column: np.ndarray, alone: bool) -> List[str]:
+    """One column's cells as the CSV fields ``csv.writer`` writes for them.
+
+    Cells are rendered column by column (``tolist`` hands back Python
+    scalars), quoted when they hold a delimiter, quote or line break, and
+    a lone empty field (``alone``: a one-column relation) becomes ``""``.
+    """
+    fields = list(map(_render, column.tolist()))
+    if _NEEDS_QUOTES.search("".join(fields)):
+        fields = [
+            '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
+            for field in fields
+        ]
+    if alone:
+        fields = [field or '""' for field in fields]
+    return fields
 
 
 def _render(value: object) -> str:
+    if type(value) is float:
+        return repr(value)
     # Numpy scalars repr as "np.float64(...)" under numpy >= 2; go through
     # the plain Python float, whose repr round-trips exactly.
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 

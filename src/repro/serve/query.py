@@ -35,6 +35,8 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlencode
 
+import numpy as np
+
 from repro.core.config import _warn_deprecated
 from repro.core.postprocess import (
     filter_by_antecedent,
@@ -317,9 +319,11 @@ class QueryEngine:
 
     The engine never touches :class:`~repro.core.rules.DistanceRule`
     objects: it filters the snapshot's columnar arrays with the same
-    stage order as :func:`apply_query` and the same tie-breaking keys
-    (the stored ``str(rule)`` descriptions), so the returned ids match a
-    direct filter of the source ``DARResult`` exactly.  Answers are
+    stage order as :func:`apply_query` and ranks them with ``np.lexsort``
+    on the same keys, reading the snapshot's ``description_rank`` where
+    the reference compares ``str(rule)``, so the returned ids match a
+    direct filter of the source ``DARResult`` exactly and no description
+    is rendered to answer.  Answers are
     memoized in a thread-safe LRU keyed by the (hashable) query; the
     snapshot is immutable, so cached answers never go stale.
     """
@@ -382,8 +386,6 @@ class QueryEngine:
 
     def _evaluate(self, query: RuleQuery) -> List[int]:
         """The uncached path: mirror :func:`apply_query` over columns."""
-        import numpy as np
-
         snap = self.snapshot
         mask = np.ones(snap.n_rules, dtype=bool)
         if query.targets is not None:
@@ -401,63 +403,49 @@ class QueryEngine:
                     mask[ids] = False
         if query.min_degree is not None:
             mask &= snap.degree >= query.min_degree
-        selected = [int(i) for i in np.nonzero(mask)[0]]
+        selected = np.flatnonzero(mask)
         if query.prune_redundant:
             selected = self._prune_redundant_ids(selected)
         if query.max_degree is not None:
-            max_degree = query.max_degree
-            selected = [i for i in selected if snap.degree[i] <= max_degree]
+            selected = selected[snap.degree[selected] <= query.max_degree]
+        support = snap.support[selected]
         if query.min_support is not None:
-            support = snap.support
-            if any(support[i] < 0 for i in selected):
+            if (support < 0).any():
                 raise ValueError(
                     "min_support filtering needs support counts; mine with "
                     "DARConfig(count_rule_support=True)"
                 )
-            min_support = query.min_support
-            selected = [i for i in selected if support[i] >= min_support]
-        selected.sort(key=self._rank_key)
-        if query.top_k is not None:
-            selected = selected[: query.top_k]
-        return selected
+            selected = selected[support >= query.min_support]
+            support = snap.support[selected]
+        # The canonical (degree, -support, description) order.
+        ranked = selected[np.lexsort((
+            snap.description_rank[selected],
+            -np.maximum(support, 0),
+            snap.degree[selected],
+        ))]
+        return ranked[: query.top_k].tolist()
 
-    def _rank_key(self, rule_id: int):
-        """The canonical ``(degree, -support, description)`` ordering key."""
-        snap = self.snapshot
-        support = int(snap.support[rule_id])
-        return (
-            float(snap.degree[rule_id]),
-            -max(support, 0),
-            snap.descriptions[rule_id],
-        )
-
-    def _prune_redundant_ids(self, ids: List[int]) -> List[int]:
+    def _prune_redundant_ids(self, ids: np.ndarray) -> np.ndarray:
         """Mirror :func:`~repro.core.postprocess.prune_redundant` on ids."""
         snap = self.snapshot
-        ordered = sorted(
-            ids,
-            key=lambda i: (
-                len(snap.antecedent_uids(i)),
-                float(snap.degree[i]),
-                snap.descriptions[i],
-            ),
-        )
+        sizes = np.diff(snap.ant_offsets)[ids]
+        ordered = ids[np.lexsort((snap.description_rank[ids], snap.degree[ids], sizes))]
         kept: List[int] = []
-        kept_index: List[tuple] = []
-        for rule_id in ordered:
+        # consequent uids -> (antecedent uids, degree) of the kept rules.
+        kept_by_consequent: Dict[frozenset, List[tuple]] = {}
+        for rule_id in ordered.tolist():
             consequent = frozenset(snap.consequent_uids(rule_id))
             antecedent = frozenset(snap.antecedent_uids(rule_id))
             degree = float(snap.degree[rule_id])
+            peers = kept_by_consequent.setdefault(consequent, [])
             redundant = any(
-                consequent == kept_consequent
-                and kept_antecedent < antecedent
-                and kept_degree <= degree + 1e-12
-                for kept_consequent, kept_antecedent, kept_degree in kept_index
+                kept_antecedent < antecedent and kept_degree <= degree + 1e-12
+                for kept_antecedent, kept_degree in peers
             )
             if not redundant:
                 kept.append(rule_id)
-                kept_index.append((consequent, antecedent, degree))
-        return kept
+                peers.append((antecedent, degree))
+        return np.array(kept, dtype=np.int64)
 
     # ------------------------------------------------------------------
 

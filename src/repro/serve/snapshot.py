@@ -2,14 +2,17 @@
 
 A :class:`RuleSnapshot` is a ``DARResult`` compiled for serving: rule
 measures packed into flat numpy columns (degree, support, CSR-encoded
-antecedent/consequent cluster uids with per-consequent degrees), the
-rendered ``str(rule)`` descriptions (which double as the deterministic
-tie-break key the query engine shares with
-:func:`~repro.serve.query.apply_query`), every referenced cluster's
-JSON descriptor, and inverted indexes mapping partition names to the
-rule ids that mention them on each side.  Rule id = position in the
-result's ``rules`` list, so ids are stable across save/load and
-comparable against direct ``DARResult`` filtering.
+antecedent/consequent cluster uids with per-consequent degrees), every
+referenced cluster's label and JSON descriptor, and inverted indexes
+mapping partition names to the rule ids that mention them on each side.
+Rule id = position in the result's ``rules`` list, so ids are stable
+across save/load and comparable against direct ``DARResult`` filtering.
+
+A compiled snapshot renders no ``str(rule)`` text: a rule's description
+is rendered from the cluster labels the first time a caller reads it.
+The query engine's tie-break instead reads ``description_rank``, each
+rule's rank in the order of the descriptions, derived (like the
+partition indexes) from the columns and never persisted.
 
 Persistence reuses the resilience layer's versioned+CRC checkpoint
 container (:mod:`repro.resilience.checkpoint`): floats round-trip
@@ -29,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.rules import describe_rule, description_rank, text_rank
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.resilience.checkpoint import read_checkpoint, write_checkpoint
@@ -52,8 +56,10 @@ def _utc_now() -> str:
 class RuleSnapshot:
     """One compiled, immutable rule set ready for query serving.
 
-    Construct via :meth:`from_result`, :meth:`from_state` or :meth:`load`
-    — the constructor takes already-validated columns.  Instances are
+    Construct via :meth:`from_result`, :meth:`from_state` or :meth:`load`.
+    The constructor checks the CSR columns' shapes and takes the rule
+    text either as ``descriptions`` (a loaded snapshot) or as cluster
+    ``labels`` (uid → ``str(cluster)``, a compiled one).  Instances are
     treated as frozen: the publisher swaps whole snapshots instead of
     mutating one, so readers can keep using a reference with no locking.
     """
@@ -70,12 +76,13 @@ class RuleSnapshot:
         con_offsets: np.ndarray,
         con_uids: np.ndarray,
         con_degrees: np.ndarray,
-        descriptions: List[str],
         clusters: Dict[int, Dict[str, Any]],
         partitions: List[str],
         density_thresholds: Dict[str, float],
         degree_thresholds: Dict[str, float],
         frequency_count: int,
+        descriptions: Optional[List[str]] = None,
+        labels: Optional[Dict[int, str]] = None,
     ):
         self.version = int(version)
         self.created_at = created_at
@@ -86,23 +93,43 @@ class RuleSnapshot:
         self.con_offsets = np.asarray(con_offsets, dtype=np.int64)
         self.con_uids = np.asarray(con_uids, dtype=np.int64)
         self.con_degrees = np.asarray(con_degrees, dtype=np.float64)
-        self.descriptions = list(descriptions)
         self.clusters = dict(clusters)
         self.partitions = list(partitions)
         self.density_thresholds = {k: float(v) for k, v in density_thresholds.items()}
         self.degree_thresholds = {k: float(v) for k, v in degree_thresholds.items()}
         self.frequency_count = int(frequency_count)
+        if (descriptions is None) == (labels is None):
+            raise ValueError("a snapshot takes either descriptions or cluster labels")
         if not (
             len(self.degree)
             == len(self.support)
-            == len(self.descriptions)
             == len(self.ant_offsets) - 1
             == len(self.con_offsets) - 1
+            == (self.n_rules if descriptions is None else len(descriptions))
         ):
             raise ValueError("snapshot columns disagree on the rule count")
+        for name in ("ant_offsets", "con_offsets"):
+            offsets = getattr(self, name)
+            refs = getattr(self, name.replace("offsets", "uids"))
+            if offsets[0] != 0 or offsets[-1] != len(refs) or (np.diff(offsets) < 0).any():
+                raise ValueError(
+                    f"{name} must rise from 0 to len({name.replace('offsets', 'uids')})"
+                    f" = {len(refs)} without decreasing"
+                )
+        if len(self.con_degrees) != len(self.con_uids):
+            raise ValueError(
+                f"con_degrees holds {len(self.con_degrees)} values for "
+                f"{len(self.con_uids)} con_uids"
+            )
+        self._labels = labels
+        # Filled in by description() as callers read them, unless loaded.
+        self._descriptions: List[Optional[str]] = (
+            [None] * self.n_rules if descriptions is None else list(descriptions)
+        )
         self.antecedent_index: Dict[str, np.ndarray] = {}
         self.consequent_index: Dict[str, np.ndarray] = {}
         self._build_indexes()
+        self.description_rank = self._rank_descriptions()
 
     # ------------------------------------------------------------------
     # Construction
@@ -115,8 +142,8 @@ class RuleSnapshot:
 
         with span("serve.compile", rules=len(result.rules)):
             rules = list(result.rules)
-            # Each distinct cluster is described once, in first-mention
-            # order, however many rules refer to it.
+            # Each distinct cluster is described and labelled once, in
+            # first-mention order, however many rules refer to it.
             distinct = {
                 c.uid: c for r in rules for side in (r.antecedent, r.consequent) for c in side
             }
@@ -130,12 +157,12 @@ class RuleSnapshot:
                 con_offsets=np.cumsum([0] + [len(r.consequent) for r in rules]),
                 con_uids=[c.uid for r in rules for c in r.consequent],
                 con_degrees=[r.degrees.get(c.uid, r.degree) for r in rules for c in r.consequent],
-                descriptions=[str(r) for r in rules],
                 clusters={uid: cluster_to_dict(c) for uid, c in distinct.items()},
                 partitions=sorted(result.density_thresholds),
                 density_thresholds=result.density_thresholds,
                 degree_thresholds=result.degree_thresholds,
                 frequency_count=result.frequency_count,
+                labels={uid: str(c) for uid, c in distinct.items()},
             )
         if obs_metrics.metrics_enabled():
             obs_metrics.inc(
@@ -151,24 +178,36 @@ class RuleSnapshot:
             [str(entry["partition"]) for entry in self.clusters.values()],
             return_inverse=True,
         )
-        order = np.argsort(uids)
-        known_uids, known_codes = uids[order], codes[order]
 
         def index(offsets: np.ndarray, refs: np.ndarray) -> Dict[str, np.ndarray]:
             rule_ids = np.repeat(np.arange(self.n_rules, dtype=np.int64), np.diff(offsets))
-            slots = np.searchsorted(known_uids, refs)
-            known = slots < len(known_uids)
-            known[known] = known_uids[slots[known]] == refs[known]
-            if not known.all():
-                raise KeyError(int(refs[~known][0]))
-            ref_codes = known_codes[slots]
-            return {
-                str(names[code]): np.unique(rule_ids[ref_codes == code])
-                for code in np.unique(ref_codes)
-            }
+            ref_codes = codes[_positions(uids, refs)]
+            indexes = {}
+            for code in np.unique(ref_codes):
+                # Ascending already: keep the first of each run of a rule id.
+                ids = rule_ids[ref_codes == code]
+                indexes[str(names[code])] = ids[np.append(True, ids[1:] != ids[:-1])]
+            return indexes
 
         self.antecedent_index = index(self.ant_offsets, self.ant_uids)
         self.consequent_index = index(self.con_offsets, self.con_uids)
+
+    def _rank_descriptions(self) -> np.ndarray:
+        """Each rule's dense rank in the order of the descriptions (derived
+        like the indexes, never persisted).  Compiled snapshots rank label
+        tokens (:func:`~repro.core.rules.description_rank`) and render
+        only tied rules; loaded ones rank the descriptions they hold."""
+        if self._labels is None:
+            return text_rank(self._descriptions)
+        uids = np.fromiter(self._labels, dtype=np.int64, count=len(self._labels))
+        return description_rank(
+            list(self._labels.values()),
+            self.ant_offsets,
+            _positions(uids, self.ant_uids),
+            self.con_offsets,
+            _positions(uids, self.con_uids),
+            self.description,
+        )
 
     # ------------------------------------------------------------------
     # Row access
@@ -209,8 +248,29 @@ class RuleSnapshot:
                 for uid, value in zip(self.con_uids[lo:hi], self.con_degrees[lo:hi])
             },
             "support_count": None if support < 0 else support,
-            "description": self.descriptions[rule_id],
+            "description": self.description(rule_id),
         }
+
+    def description(self, rule_id: int) -> str:
+        """``str`` of one rule, rendered from the cluster labels on first
+        read and kept."""
+        text = self._descriptions[rule_id]
+        if text is None:
+            labels = self._labels
+            support = int(self.support[rule_id])
+            text = describe_rule(
+                [labels[uid] for uid in self.antecedent_uids(rule_id)],
+                [labels[uid] for uid in self.consequent_uids(rule_id)],
+                float(self.degree[rule_id]),
+                None if support < 0 else support,
+            )
+            self._descriptions[rule_id] = text
+        return text
+
+    @property
+    def descriptions(self) -> List[str]:
+        """Every rule's description, in rule-id order (renders the missing)."""
+        return [self.description(rule_id) for rule_id in range(self.n_rules)]
 
     def describe(self) -> str:
         """One status line (the CLI/serve banner)."""
@@ -243,7 +303,7 @@ class RuleSnapshot:
                 "con_offsets": [int(v) for v in self.con_offsets],
                 "con_uids": [int(v) for v in self.con_uids],
                 "con_degrees": [float(v) for v in self.con_degrees],
-                "descriptions": list(self.descriptions),
+                "descriptions": self.descriptions,
             },
             "clusters": {str(uid): entry for uid, entry in self.clusters.items()},
         }
@@ -295,6 +355,17 @@ class RuleSnapshot:
                 f"a {SNAPSHOT_KIND!r}"
             )
         return cls.from_state(state)
+
+
+def _positions(keys: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Where each of ``refs`` sits in ``keys``; ``KeyError`` for one absent."""
+    order = np.argsort(keys)
+    slots = np.searchsorted(keys, refs, sorter=order)
+    known = slots < len(keys)
+    known[known] = keys[order[slots[known]]] == refs[known]
+    if not known.all():
+        raise KeyError(int(refs[~known][0]))
+    return order[slots]
 
 
 def compile_snapshot(

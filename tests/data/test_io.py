@@ -340,3 +340,69 @@ class TestVectorIngest:
         assert load_span.attributes["rows"] == 3
         assert load_span.attributes["columns"] == 2
         assert load_span.attributes["parser"] == "vector"
+
+
+def _row_writer_csv(relation, path):
+    """The row-at-a-time writer ``save_csv`` replaced, frozen: every cell
+    read through ``Relation.rows()`` and rendered on its own."""
+
+    def render(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    import csv
+
+    with Path(path).open("w", newline="") as handle:
+        schema_line = ",".join(
+            f"{attribute.name}:{attribute.kind.value}" for attribute in relation.schema
+        )
+        handle.write(f"# {schema_line}\n")
+        writer = csv.writer(handle)
+        writer.writerow(relation.schema.names)
+        for row in relation.rows():
+            writer.writerow([render(value) for value in row])
+
+
+_EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16,
+                1e-5, 0.1, -2.5e300]
+_kind_cells = {
+    "interval": st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=True),
+    "ordinal": st.sampled_from(_EDGE_FLOATS) | st.integers(-10**6, 10**6).map(float),
+    "nominal": st.sampled_from(["", " ", "a,b", 'say "hi"', "line\nbreak", "cr\rlf",
+                                "plain", "x y"]) | st.text(max_size=6),
+}
+
+
+@st.composite
+def _relations(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_kind_cells)), min_size=1, max_size=4))
+    names = [f"c{i}" for i in range(len(kinds))]
+    rows = draw(st.integers(0, 12))
+    schema = Schema.of(**dict(zip(names, kinds)))
+    columns = {
+        name: draw(st.lists(_kind_cells[kind], min_size=rows, max_size=rows))
+        for name, kind in zip(names, kinds)
+    }
+    return Relation(schema, columns)
+
+
+class TestColumnWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_relations())
+    def test_bytes_equal_the_row_writer(self, relation):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+            save_csv(relation, new)
+            _row_writer_csv(relation, old)
+            assert new.read_bytes() == old.read_bytes()
+
+    def test_numpy_scalars_in_a_nominal_column(self, tmp_path):
+        schema = Schema.of(tag="nominal", x="interval")
+        relation = Relation(schema, {
+            "tag": [np.float32(0.1), np.float64(2.5), np.int64(3), "a,b"],
+            "x": [1.0, -0.0, float("nan"), 5e-324],
+        })
+        save_csv(relation, tmp_path / "new.csv")
+        _row_writer_csv(relation, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
