@@ -69,8 +69,8 @@ def mine(
     :class:`~repro.data.columnar.ColumnStore` constructors): Phase I then
     scans it chunk by chunk so datasets larger than RAM mine in bounded
     memory, and a columnar backend failure degrades to an in-memory
-    retry (recorded in ``result.phase2.events``).  Out-of-core runs use
-    the serial engine — pass ``engine="serial"`` (the default).
+    retry (recorded in ``result.phase2.events``).  Either engine mines a
+    store: parallel workers open it read-only by directory.
 
     ``config`` — a :class:`DARConfig`, a mapping of its fields, or ``None``
     for the paper's defaults.  ``partitions`` — the attribute partitioning
@@ -81,9 +81,11 @@ def mine(
 
     ``engine="parallel"`` fans Phase I partitions and Phase II row blocks
     out over ``workers`` processes via
-    :class:`repro.parallel.ParallelDARMiner`; results are bit-identical
-    to the serial engine, and a worker-pool failure degrades to serial
-    with the event recorded in ``result.phase2.events``.  The worker
+    :class:`repro.parallel.ParallelDARMiner` (an in-memory relation is
+    spilled once to a temporary store the workers read); results are
+    bit-identical to the serial engine, and a worker-pool failure
+    degrades to serial with the event recorded in
+    ``result.phase2.events``.  The worker
     count resolves in a fixed order (see
     :func:`repro.parallel.executor.resolve_workers`): an explicit
     positive ``workers`` wins; ``None`` or 0 means *auto* — the
@@ -92,13 +94,6 @@ def mine(
     """
     from repro.resilience.guard import guarded_mine
 
-    if isinstance(relation, ColumnStore) and engine != "serial":
-        raise ValueError(
-            "out-of-core mining (a ColumnStore input) runs on the serial "
-            "engine; the parallel engine would materialize every column "
-            "into shared memory — pass engine='serial', or materialize "
-            "explicitly with store.to_relation()"
-        )
     if config is None:
         config = DARConfig()
     elif isinstance(config, Mapping):

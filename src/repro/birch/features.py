@@ -351,5 +351,39 @@ class ACF:
             hi=np.asarray(state["hi"], dtype=np.float64),
         )
 
+    def __reduce__(self):
+        """Pickle as one float64 vector: parallel workers ship ACFs home.
+
+        Layout ``lo, hi, LS, SS`` of the primary CF, then ``LS, SS`` of
+        each cross CF in ``cross`` order.  Unpickling slices views out of
+        that vector, bit-exact, without a per-array pickle record.
+        """
+        cfs = (self.cf, *self.cross.values())
+        moments = [self.lo, self.hi]
+        for cf in cfs:
+            moments += (cf.ls, cf.ss)
+        return (
+            _unpack_acf,
+            (
+                tuple(self.cross),
+                [cf.n for cf in cfs],
+                [cf.dimension for cf in cfs],
+                np.concatenate(moments),
+            ),
+        )
+
     def __repr__(self) -> str:
         return f"ACF(n={self.n}, cross={sorted(self.cross)})"
+
+
+def _unpack_acf(names, counts, dimensions, values: np.ndarray) -> ACF:
+    """Rebuild an :class:`ACF` from :meth:`ACF.__reduce__`'s vector."""
+    own = dimensions[0]
+    lo, hi = values[:own], values[own : 2 * own]
+    offset = 2 * own
+    cfs = []
+    for n, dimension in zip(counts, dimensions):
+        middle = offset + dimension
+        cfs.append(CF(n, values[offset:middle], values[middle : middle + dimension]))
+        offset = middle + dimension
+    return ACF(cfs[0], dict(zip(names, cfs[1:])), lo=lo, hi=hi)

@@ -127,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--out-of-core", action="store_true",
                       help="spill the CSV to a memory-mapped columnar "
                       "store and mine it chunk by chunk, so files larger "
-                      "than RAM mine in bounded memory (serial engine "
-                      "only; not with --mixed, --checkpoint/--resume or "
-                      "the cleaning flags)")
+                      "than RAM mine in bounded memory (also with "
+                      "--workers; not with --mixed, --checkpoint/--resume "
+                      "or the cleaning flags)")
     mine.add_argument("--chunk-rows", type=int, default=None, metavar="N",
                       help="out-of-core spill/scan granularity in rows "
                       "(default 65536; requires --out-of-core)")
@@ -688,12 +688,6 @@ def _run_mine(args: argparse.Namespace, capture: Optional[dict] = None) -> int:
         from repro.parallel.executor import resolve_workers
 
         workers = resolve_workers(0)
-    if out_of_core and workers > 1:
-        raise ValueError(
-            "--workers is not supported together with --out-of-core (the "
-            "parallel engine would materialize every column into shared "
-            "memory); drop --workers to mine out of core serially"
-        )
     checkpoint_infos = []
     stream_miner = None
     if args.checkpoint or args.resume:
@@ -1192,10 +1186,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # Worker pools and shared-memory segments are owned by context
-        # managers inside the miner, so they are already released by the
-        # time the interrupt unwinds to here; output files are written
-        # atomically, so none is left half-finished.
+        # Worker pools and the parallel engine's spill directory are
+        # owned by context managers inside the miner, so they are already
+        # released by the time the interrupt unwinds to here; output
+        # files are written atomically, so none is left half-finished.
         print("interrupted", file=sys.stderr)
         return 130
 

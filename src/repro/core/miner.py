@@ -21,7 +21,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from repro.birch.batch import ScanStats
-from repro.birch.birch import BirchClusterer, Phase1Stats, assign_to_centroids
+from repro.birch.birch import Phase1Stats, assign_to_centroids
 from repro.birch.features import CF
 from repro.core.cliques import maximal_cliques, non_trivial_cliques
 from repro.core.cluster import Cluster
@@ -31,7 +31,6 @@ from repro.core.graph import ClusteringGraph, build_clustering_graph
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.core.postprocess import select_rules
 from repro.core.rules import DistanceRule, RuleList
-from repro.data.columnar.chunks import ChunkIterator
 from repro.data.columnar.store import ColumnStore
 from repro.data.relation import AttributePartition, Relation, default_partitions
 from repro.obs import metrics as obs_metrics
@@ -344,6 +343,10 @@ class DARMiner:
         #: in-memory relations); set per :meth:`mine` call and read by
         #: :meth:`_run_phase1` to route the scan through ``fit_chunks``.
         self._chunk_rows: Optional[int] = None
+        #: The executor backend Phase I tasks run on; ``None`` runs them
+        #: in-process.  :class:`repro.parallel.ParallelDARMiner` holds its
+        #: worker pool here for the length of a :meth:`mine` call.
+        self._backend = None
 
     # ------------------------------------------------------------------
 
@@ -410,7 +413,7 @@ class DARMiner:
 
         with span("phase1", partitions=len(partition_list), rows=n):
             phase1_stats, all_clusters, frequent_clusters = self._run_phase1(
-                partition_list, matrices, density, frequency_count
+                relation, partition_list, matrices, density, frequency_count
             )
 
         # ------------------------------ Phase II -----------------------
@@ -476,11 +479,12 @@ class DARMiner:
         )
 
     # ------------------------------------------------------------------
-    # Phase hooks — the seams the parallel engine overrides
+    # Phase hooks
     # ------------------------------------------------------------------
 
     def _run_phase1(
         self,
+        relation: "Relation | ColumnStore",
         partition_list: Sequence[AttributePartition],
         matrices: Mapping[str, np.ndarray],
         density: Mapping[str, float],
@@ -492,44 +496,44 @@ class DARMiner:
     ]:
         """Cluster every partition; returns (stats, all, frequent) by name.
 
-        This is the "what to compute" of Phase I: one independent
-        clustering task per attribute partition, executed here serially in
-        ``partition_list`` order.  :class:`repro.parallel.ParallelDARMiner`
-        overrides only this method (and :meth:`_make_kernel`) to fan the
-        same tasks out over a worker pool — cluster uids are assigned from
-        a fresh counter in ``partition_list`` order either way, so the two
-        paths produce identical cluster populations.
+        The one Phase I dispatcher: one
+        :class:`~repro.parallel.tasks.Phase1Task` per attribute partition,
+        run on the miner's executor backend — in-process over
+        ``matrices`` for the serial miner, over a worker pool for
+        :class:`repro.parallel.ParallelDARMiner` (see
+        :func:`~repro.parallel.tasks.run_phase1_tasks`).  Out-of-core runs
+        scan fixed-size chunks of the memory-mapped matrices.  Cluster
+        uids come from a fresh counter in ``partition_list`` order, so
+        every backend yields the same cluster population.
         """
+        from repro.parallel.executor import SerialBackend
+        from repro.parallel.tasks import Phase1Task, run_phase1_tasks
+
+        tasks = [
+            Phase1Task(
+                partition=partition,
+                others=tuple(p for p in partition_list if p.name != partition.name),
+                options=replace(
+                    self.config.birch,
+                    initial_threshold=density[partition.name],
+                    frequency_fraction=self.config.frequency_fraction,
+                ),
+                chunk_rows=self._chunk_rows,
+            )
+            for partition in partition_list
+        ]
+        backend = self._backend if self._backend is not None else SerialBackend()
+        results = run_phase1_tasks(backend, tasks, relation, matrices)
+
         phase1_stats: Dict[str, Phase1Stats] = {}
         all_clusters: Dict[str, List[Cluster]] = {}
         frequent_clusters: Dict[str, List[Cluster]] = {}
         uid = itertools.count()
-        # Out-of-core runs scan through one re-iterable chunk iterator over
-        # all partition matrices (memory-mapped views), so every
-        # clusterer's pass streams the same fixed-size chunks instead of
-        # touching whole columns at once.
-        chunks: Optional[ChunkIterator] = None
-        if self._chunk_rows is not None:
-            chunks = ChunkIterator(dict(matrices), self._chunk_rows)
-        for partition in partition_list:
-            others = [p for p in partition_list if p.name != partition.name]
-            options = replace(
-                self.config.birch,
-                initial_threshold=density[partition.name],
-                frequency_fraction=self.config.frequency_fraction,
-            )
-            clusterer = BirchClusterer(partition, others, options)
-            if chunks is not None:
-                result = clusterer.fit_chunks(chunks)
-            else:
-                result = clusterer.fit_arrays(
-                    matrices[partition.name],
-                    {p.name: matrices[p.name] for p in others},
-                )
-            phase1_stats[partition.name] = result.stats
+        for partition, (acfs, stats) in zip(partition_list, results):
+            phase1_stats[partition.name] = stats
             clusters = [
                 Cluster(uid=next(uid), partition=partition, acf=acf)
-                for acf in result.clusters
+                for acf in acfs
             ]
             all_clusters[partition.name] = clusters
             frequent = [c for c in clusters if c.n >= frequency_count]

@@ -17,7 +17,7 @@ actually reads:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.rules import DistanceRule
 
@@ -73,19 +73,19 @@ def prune_redundant(rules: Iterable[DistanceRule]) -> List[DistanceRule]:
         rules, key=lambda rule: (len(rule.antecedent), rule.degree, str(rule))
     )
     kept: List[DistanceRule] = []
-    kept_index: List[tuple] = []  # (consequent uids, antecedent uids, degree)
+    # consequent uids -> (antecedent uids, degree) of the kept rules: only
+    # a rule with the same consequent can make another one redundant.
+    kept_by_consequent: Dict[FrozenSet[int], List[Tuple[FrozenSet[int], float]]] = {}
     for rule in ordered:
-        consequent = rule.consequent_uids
         antecedent = rule.antecedent_uids
+        peers = kept_by_consequent.setdefault(rule.consequent_uids, [])
         redundant = any(
-            consequent == kept_consequent
-            and kept_antecedent < antecedent
-            and kept_degree <= rule.degree + 1e-12
-            for kept_consequent, kept_antecedent, kept_degree in kept_index
+            kept_antecedent < antecedent and kept_degree <= rule.degree + 1e-12
+            for kept_antecedent, kept_degree in peers
         )
         if not redundant:
             kept.append(rule)
-            kept_index.append((consequent, antecedent, rule.degree))
+            peers.append((antecedent, rule.degree))
     kept.sort(key=lambda rule: (rule.degree, str(rule)))
     return kept
 

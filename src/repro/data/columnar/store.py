@@ -35,6 +35,7 @@ guarded miner catches to degrade to the in-memory engine.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -276,9 +277,11 @@ class ColumnStore:
         chunk_rows: int,
         columns: Mapping[str, Any],
         *,
+        read_only: bool = False,
         _ephemeral: bool = False,
     ):
         self.directory = Path(directory)
+        self.read_only = bool(read_only)
         self._schema = schema
         self._n_rows = int(n_rows)
         self.chunk_rows = int(chunk_rows)
@@ -293,8 +296,19 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     @classmethod
-    def open(cls, directory: PathLike, *, _ephemeral: bool = False) -> "ColumnStore":
+    def open(
+        cls,
+        directory: PathLike,
+        *,
+        read_only: bool = False,
+        _ephemeral: bool = False,
+    ) -> "ColumnStore":
         """Open an existing store directory by reading its manifest.
+
+        ``read_only=True`` opens the store for a reader that must never
+        write to the directory (a parallel Phase I worker): multi-attribute
+        matrices are then read from the stack files another handle built
+        (see :meth:`matrix`) instead of being stacked anew.
 
         Any structural problem — missing or unparseable manifest, wrong
         format tag, unknown manifest version — raises
@@ -341,7 +355,13 @@ class ColumnStore:
                 f"{manifest_path}: manifest lacks column entries for {missing}"
             )
         return cls(
-            directory, schema, n_rows, chunk_rows, columns, _ephemeral=_ephemeral
+            directory,
+            schema,
+            n_rows,
+            chunk_rows,
+            columns,
+            read_only=read_only,
+            _ephemeral=_ephemeral,
         )
 
     @classmethod
@@ -511,8 +531,11 @@ class ColumnStore:
         reshaped view of the memory-mapped column, so scans stream pages
         from disk; for multi-attribute partitions the columns are stacked
         once into a disk-backed ``.npy`` inside the store directory
-        (cached per name tuple) and memory-mapped back.  Backend failures
-        raise :class:`~repro.resilience.errors.ColumnStoreError`.
+        (cached per name tuple) and memory-mapped back.  The stack file is
+        named by a digest of the names, so every process stacking the
+        same partition writes the same file; a :attr:`read_only` handle
+        maps that file and never writes.  Backend failures raise
+        :class:`~repro.resilience.errors.ColumnStoreError`.
         """
         try:
             faults.fire("columnar.matrix")
@@ -547,24 +570,46 @@ class ColumnStore:
         )
 
     def _stacked(self, names: Tuple[str, ...]) -> np.ndarray:
-        """Disk-backed column stack for a multi-attribute partition."""
+        """Disk-backed column stack for a multi-attribute partition.
+
+        The file is written under a temporary name and renamed into place,
+        so a process still mapping an earlier stack of the same names
+        keeps valid bytes.
+        """
         if names in self._stacks:
             return self._stacks[names]
-        digest = abs(hash(names)) % 16**8
-        path = self.directory / f"_stack_{digest:08x}_{len(names)}.npy"
-        with span("columnar.stack", columns=len(names), rows=self._n_rows):
-            out = np.lib.format.open_memmap(
-                path, mode="w+", dtype=np.float64, shape=(self._n_rows, len(names))
-            )
-            step = max(self.chunk_rows, 1)
-            views = [self._numeric_view(name) for name in names]
-            for start in range(0, self._n_rows, step):
-                stop = min(start + step, self._n_rows)
-                for j, view in enumerate(views):
-                    out[start:stop, j] = view[start:stop]
-            out.flush()
-        del out
-        mapped = np.load(path, mmap_mode="r")
+        digest = hashlib.sha256("\0".join(names).encode("utf-8")).hexdigest()
+        path = self.directory / f"_stack_{digest[:16]}_{len(names)}.npy"
+        shape = (self._n_rows, len(names))
+        if self.read_only:
+            try:
+                mapped = np.load(path, mmap_mode="r")
+            except (OSError, ValueError) as error:
+                raise ColumnStoreError(
+                    f"stack of {list(names)} in read-only store "
+                    f"{self.directory} cannot be opened: {error}"
+                ) from error
+            if mapped.shape != shape:
+                raise ColumnStoreError(
+                    f"stack file {path} has shape {mapped.shape}, "
+                    f"expected {shape}"
+                )
+        else:
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            with span("columnar.stack", columns=len(names), rows=self._n_rows):
+                out = np.lib.format.open_memmap(
+                    tmp, mode="w+", dtype=np.float64, shape=shape
+                )
+                step = max(self.chunk_rows, 1)
+                views = [self._numeric_view(name) for name in names]
+                for start in range(0, self._n_rows, step):
+                    stop = min(start + step, self._n_rows)
+                    for j, view in enumerate(views):
+                        out[start:stop, j] = view[start:stop]
+                out.flush()
+                del out
+                os.replace(tmp, path)
+            mapped = np.load(path, mmap_mode="r")
         self._stacks[names] = mapped
         return mapped
 

@@ -9,17 +9,18 @@ the serial engine — the equivalence suite pins bit-identical rules.
 Layering (what vs. where):
 
 * :mod:`repro.parallel.tasks` — task descriptions and worker entry
-  points (*what to compute*);
+  points (*what to compute*); pool workers read the row data from a
+  memory-mapped :class:`~repro.data.columnar.ColumnStore` by directory,
+  so no row data is pickled;
 * :mod:`repro.parallel.executor` — the interchangeable backends
   (*where it runs*): serial in-process, or a process pool;
-* :mod:`repro.parallel.shared` — shared-memory transport for the row
-  matrices (no pickling of row data);
 * :mod:`repro.parallel.kernel` — the tiled Phase II kernel;
-* :mod:`repro.parallel.miner` — :class:`ParallelDARMiner`, the
-  coordinator that merges worker results.
+* :mod:`repro.parallel.miner` — :class:`ParallelDARMiner`, the serial
+  miner plus the worker pool's lifecycle.
 
 Entry points: ``repro.mine(relation, engine="parallel", workers=N)`` or
-``repro mine data.csv --workers N`` on the command line.  Pool failures
+``repro mine data.csv --workers N`` on the command line; ``relation``
+may be an in-memory relation or an out-of-core store.  Pool failures
 degrade to the serial engine through the resilience ladder
 (:func:`repro.resilience.guard.guarded_mine`), recorded in
 ``result.phase2.events``.
@@ -32,7 +33,6 @@ from repro.parallel.executor import (
 )
 from repro.parallel.kernel import ParallelPhase2Kernel
 from repro.parallel.miner import ParallelDARMiner
-from repro.parallel.shared import SharedMatrixHandle, SharedMatrixStore, attach_matrices
 from repro.parallel.tasks import (
     KILL_WORKER_ENV,
     Phase1Task,
@@ -47,9 +47,6 @@ __all__ = [
     "ProcessPoolBackend",
     "ParallelPhase2Kernel",
     "ParallelDARMiner",
-    "SharedMatrixHandle",
-    "SharedMatrixStore",
-    "attach_matrices",
     "KILL_WORKER_ENV",
     "Phase1Task",
     "Phase2Tile",

@@ -12,8 +12,8 @@ either backend, and a future distributed backend only has to honor the
 same contract.
 
 Failure semantics: infrastructure failures (a worker process dying →
-``BrokenProcessPool``, the pool failing to start, a shared-memory attach
-error) surface as :class:`~repro.resilience.errors.WorkerPoolError`, the
+``BrokenProcessPool``, the pool failing to start, a task outliving its
+timeout) surface as :class:`~repro.resilience.errors.WorkerPoolError`, the
 class the degradation ladder catches to retry serially.  Errors raised
 *by the task itself* (``ValidationError`` on bad data, for instance)
 propagate unchanged — they would recur on the serial engine, so masking

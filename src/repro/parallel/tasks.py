@@ -3,19 +3,22 @@
 This module is the "what to compute" half of the parallel engine (the
 "where it runs" half is :mod:`repro.parallel.executor`).  A
 :class:`Phase1Task` describes one attribute partition's clustering pass —
-the same unit of work the serial miner executes inline — and
-:class:`Phase2Tile` one row block of the pairwise distance matrix.  The
-worker entry points (:func:`run_phase1_task`, :func:`run_phase2_tile`)
-are plain top-level functions so ``ProcessPoolExecutor`` can pickle
-references to them under any start method.
+the unit of work of every miner's Phase I — and :class:`Phase2Tile` one
+row block of the pairwise distance matrix.  :func:`run_phase1_tasks` runs
+a list of Phase I tasks on a backend: in-process tasks read the
+coordinator's matrices directly, pool tasks open a
+:class:`~repro.data.columnar.ColumnStore` by directory.  The worker entry
+points (:func:`run_phase1_task`, :func:`run_phase2_tile`) are plain
+top-level functions so ``ProcessPoolExecutor`` can pickle references to
+them under any start method.
 
-Everything that crosses the process boundary is plain built-ins or small
-numpy arrays: row data travels through shared memory
-(:mod:`repro.parallel.shared`), clusters come back as ACF ``state_dict``
-payloads (bit-exact float64 round-trip, the same format the checkpoint
-layer relies on), scan statistics as :meth:`ScanStats.to_dict` rows, and
-observability as a metrics-registry dump plus exported span rows that the
-coordinator folds into its own registry/tracer.
+What crosses the process boundary: a task carries the store directory
+and the partitions, never row data; the worker returns the pickled
+:class:`~repro.birch.features.ACF` clusters and
+:class:`~repro.birch.birch.Phase1Stats` (floats travel as raw float64
+bytes, so they arrive bit-exact), plus observability as a
+metrics-registry dump and exported span and log rows that the
+coordinator folds into its own recorders.
 
 Worker-death testing: when the ``REPRO_PARALLEL_KILL_WORKER``
 environment variable names a partition, the worker assigned that
@@ -27,28 +30,38 @@ as ``BrokenProcessPool``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+import shutil
+import time
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.birch.batch import ScanStats
 from repro.birch.birch import BirchClusterer, BirchOptions, Phase1Stats
 from repro.birch.features import ACF
-from repro.birch.outliers import ReplayReport
 from repro.core.phase2_kernel import pairwise_block
-from repro.data.relation import AttributePartition
-from repro.parallel.shared import SharedMatrixHandle, attach_matrices
+from repro.data.columnar.chunks import ChunkIterator
+from repro.data.columnar.store import ColumnStore
+from repro.data.relation import AttributePartition, Relation
+from repro.obs import context as obs_context
+from repro.obs import flight as obs_flight
+from repro.obs import log as obs_log
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.obs.trace import span
+from repro.parallel.executor import ExecutorBackend
 from repro.resilience import faults
 
 __all__ = [
     "KILL_WORKER_ENV",
     "Phase1Task",
     "Phase2Tile",
+    "fit_partition",
     "run_phase1_task",
+    "run_phase1_tasks",
     "run_phase2_tile",
-    "phase1_stats_to_dict",
-    "phase1_stats_from_dict",
 ]
 
 #: Set this env var to a partition name to make the worker holding that
@@ -61,17 +74,22 @@ KILL_WORKER_ENV = "REPRO_PARALLEL_KILL_WORKER"
 class Phase1Task:
     """One partition's Phase I clustering pass, as shippable data.
 
-    Carries exactly what :meth:`repro.core.miner.DARMiner._run_phase1`
-    feeds ``BirchClusterer`` for this partition — the partition, the
-    cross partitions, the resolved options — plus the shared-memory
-    descriptor to map the row data and the observability switches the
-    worker should mirror.
+    ``partition``, ``others`` and ``options`` are what ``BirchClusterer``
+    needs.  ``chunk_rows`` selects the scan: ``None`` scans whole
+    matrices (``fit_arrays``), a row count streams a
+    :class:`~repro.data.columnar.ChunkIterator` at that cadence
+    (``fit_chunks``, the out-of-core path).  ``store`` is the directory
+    of the :class:`~repro.data.columnar.ColumnStore` a pool worker reads
+    the partition matrices from (``None`` for in-process tasks, which
+    read the coordinator's matrices); the remaining fields are the
+    observability switches and request context the worker mirrors.
     """
 
     partition: AttributePartition
     others: Tuple[AttributePartition, ...]
     options: BirchOptions
-    descriptor: Mapping[str, SharedMatrixHandle]
+    chunk_rows: Optional[int] = None
+    store: Optional[str] = None
     trace: bool = False
     metrics: bool = False
     log: bool = False
@@ -95,56 +113,114 @@ class Phase2Tile:
     stop: int
 
 
-def phase1_stats_to_dict(stats: Phase1Stats) -> Dict[str, Any]:
-    """``Phase1Stats`` as plain built-ins (crosses the process boundary)."""
-    replay: Optional[Dict[str, Any]] = None
-    if stats.replay is not None:
-        replay = {
-            "absorbed": stats.replay.absorbed,
-            "confirmed_outliers": [
-                acf.state_dict() for acf in stats.replay.confirmed_outliers
-            ],
-        }
-    return {
-        "points_inserted": stats.points_inserted,
-        "rebuilds": stats.rebuilds,
-        "threshold_history": list(stats.threshold_history),
-        "pages_out": stats.pages_out,
-        "paged_entries": stats.paged_entries,
-        "replay": replay,
-        "seconds": stats.seconds,
-        "final_entry_count": stats.final_entry_count,
-        "final_tree_bytes": stats.final_tree_bytes,
-        "scan": stats.scan.to_dict() if stats.scan is not None else None,
-    }
+def fit_partition(
+    task: Phase1Task, matrices: Mapping[str, np.ndarray]
+) -> Tuple[List[ACF], Phase1Stats]:
+    """Cluster ``task.partition`` over ``matrices`` (partition name → rows).
 
-
-def phase1_stats_from_dict(state: Mapping[str, Any]) -> Phase1Stats:
-    """Rebuild :meth:`phase1_stats_to_dict` output, ACFs bit-exact."""
-    replay: Optional[ReplayReport] = None
-    if state.get("replay") is not None:
-        replay = ReplayReport(
-            absorbed=int(state["replay"]["absorbed"]),
-            confirmed_outliers=[
-                ACF.from_state(acf)
-                for acf in state["replay"]["confirmed_outliers"]
-            ],
+    The one Phase I scan of every miner: in the coordinator's process
+    over its own matrices, or in a pool worker over memory-mapped store
+    views of the same values — the clusters are bit-identical either way.
+    """
+    clusterer = BirchClusterer(task.partition, task.others, task.options)
+    if task.chunk_rows is not None:
+        names = [task.partition.name, *(p.name for p in task.others)]
+        result = clusterer.fit_chunks(
+            ChunkIterator({name: matrices[name] for name in names}, task.chunk_rows)
         )
-    scan: Optional[ScanStats] = None
-    if state.get("scan") is not None:
-        scan = ScanStats.from_dict(state["scan"])
-    return Phase1Stats(
-        points_inserted=int(state["points_inserted"]),
-        rebuilds=int(state["rebuilds"]),
-        threshold_history=list(state["threshold_history"]),
-        pages_out=int(state["pages_out"]),
-        paged_entries=int(state["paged_entries"]),
-        replay=replay,
-        seconds=float(state["seconds"]),
-        final_entry_count=int(state["final_entry_count"]),
-        final_tree_bytes=int(state["final_tree_bytes"]),
-        scan=scan,
-    )
+    else:
+        result = clusterer.fit_arrays(
+            matrices[task.partition.name],
+            {p.name: matrices[p.name] for p in task.others},
+        )
+    return result.clusters, result.stats
+
+
+def run_phase1_tasks(
+    backend: ExecutorBackend,
+    tasks: Sequence[Phase1Task],
+    source: "Relation | ColumnStore",
+    matrices: Mapping[str, np.ndarray],
+) -> List[Tuple[List[ACF], Phase1Stats]]:
+    """Run every task on ``backend``; ``(clusters, stats)`` in task order.
+
+    A one-worker backend runs :func:`fit_partition` in-process over
+    ``matrices`` (no copy).  A pool gets tasks that name a store
+    directory: ``source``'s own when it is a
+    :class:`~repro.data.columnar.ColumnStore` (the coordinator has
+    already stacked its multi-attribute matrices), else a temporary store
+    spilled once from the in-memory relation and removed when the pool is
+    done, whatever way it finishes.
+    """
+    if backend.n_workers <= 1:
+        return backend.map_tasks(partial(fit_partition, matrices=matrices), tasks)
+    ambient = obs_context.current()
+    with span(
+        "phase1.scatter", tasks=len(tasks), workers=backend.n_workers
+    ) as scatter_span, _worker_store(source, tasks) as directory:
+        shipped = [
+            replace(
+                task,
+                store=directory,
+                trace=obs_trace.tracing_enabled(),
+                metrics=obs_metrics.metrics_enabled(),
+                log=obs_log.logging_enabled(),
+                context=ambient.to_dict() if ambient is not None else None,
+            )
+            for task in tasks
+        ]
+        dispatch_base = time.perf_counter()
+        payloads = backend.map_tasks(run_phase1_task, shipped)
+        _merge_worker_obs(payloads, scatter_span, dispatch_base)
+    return [(payload["clusters"], payload["stats"]) for payload in payloads]
+
+
+@contextmanager
+def _worker_store(
+    source: "Relation | ColumnStore", tasks: Sequence[Phase1Task]
+) -> Iterator[str]:
+    """The directory pool workers open: ``source``'s, or a one-off spill."""
+    if isinstance(source, ColumnStore):
+        yield str(source.directory)
+        return
+    partitions = [task.partition for task in tasks]
+    names = list(dict.fromkeys(name for p in partitions for name in p.attributes))
+    spill = ColumnStore.from_relation(source.project(names))
+    try:
+        for partition in partitions:
+            if len(partition.attributes) > 1:
+                spill.matrix(partition.attributes)
+        yield str(spill.directory)
+    finally:
+        spill.close()
+        shutil.rmtree(spill.directory, ignore_errors=True)
+
+
+def _merge_worker_obs(payloads, scatter_span, dispatch_base: float) -> None:
+    """Fold per-worker span/metric/log exports into the parent recorders.
+
+    Worker metrics merge additively into the process registry
+    (counters/histograms add, labeled gauges land on their own series);
+    worker spans are re-parented under the scatter span and rebased from
+    the worker's epoch to the dispatch time, so the parent trace shows
+    worker scans as children of the fan-out.
+    """
+    parent_id = getattr(scatter_span, "span_id", 0)
+    for payload in payloads:
+        state = payload.get("metrics")
+        if state is not None:
+            obs_metrics.get_registry().merge(state)
+        spans = payload.get("spans")
+        if spans:
+            obs_trace.get_tracer().ingest(
+                spans,
+                parent_id=parent_id,
+                epoch=payload.get("epoch"),
+                base=dispatch_base,
+            )
+        records = payload.get("logs")
+        if records:
+            obs_log.get_logger().ingest(records)
 
 
 def _reset_worker_obs(trace: bool, metrics: bool, log: bool = False) -> None:
@@ -159,11 +235,6 @@ def _reset_worker_obs(trace: bool, metrics: bool, log: bool = False) -> None:
     coordinator owns the postmortem window, and a worker must never
     write bundles of its own.
     """
-    from repro.obs import flight as obs_flight
-    from repro.obs import log as obs_log
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import trace as obs_trace
-
     obs_flight.disable_flight()
     if metrics:
         obs_metrics.enable_metrics().reset()
@@ -192,36 +263,24 @@ def _export_worker_obs(
         "metrics": None, "spans": None, "epoch": None, "logs": None,
     }
     if metrics:
-        from repro.obs import metrics as obs_metrics
-
         out["metrics"] = obs_metrics.get_registry().export_state()
     if trace:
-        from repro.obs import trace as obs_trace
-
         tracer = obs_trace.get_tracer()
         out["spans"] = [record.to_dict() for record in tracer.spans()]
         out["epoch"] = tracer.epoch
     if log:
-        from repro.obs import log as obs_log
-
         out["logs"] = obs_log.get_logger().export_records()
     return out
 
 
 def run_phase1_task(task: Phase1Task) -> Dict[str, Any]:
-    """Worker entry point: cluster one partition, return shippable state.
+    """Pool worker entry point: cluster one partition read from ``task.store``.
 
-    Runs the *exact* serial scan — same ``BirchClusterer``, same
-    ``BatchInserter`` path, same data bytes (a shared-memory view of the
-    coordinator's matrix) — so the returned ACF ``state_dict`` payloads
-    are bit-identical to what the serial miner would have computed for
-    this partition.
+    Opens the store read-only (a worker never writes to it) and runs
+    :func:`fit_partition`, the scan the coordinator would run in-process,
+    over memory-mapped views of the same bytes.  Returns the clusters and
+    stats with the worker's observability exports.
     """
-    from contextlib import nullcontext
-
-    from repro.obs import context as obs_context
-    from repro.obs import log as obs_log
-
     faults.fire("parallel.worker")
     if os.environ.get(KILL_WORKER_ENV) == task.partition.name:
         # Simulated OOM-kill: die without cleanup so the coordinator sees
@@ -234,24 +293,23 @@ def run_phase1_task(task: Phase1Task) -> Dict[str, Any]:
         else nullcontext()
     )
     with ambient:
-        with attach_matrices(task.descriptor) as matrices:
-            clusterer = BirchClusterer(task.partition, task.others, task.options)
-            result = clusterer.fit_arrays(
-                matrices[task.partition.name],
-                {p.name: matrices[p.name] for p in task.others},
-            )
+        store = ColumnStore.open(task.store, read_only=True)
+        try:
+            matrices = {
+                p.name: store.matrix(p.attributes)
+                for p in (task.partition, *task.others)
+            }
+            clusters, stats = fit_partition(task, matrices)
+        finally:
+            store.close()
         obs_log.info(
             "parallel.partition_done",
             partition=task.partition.name,
-            clusters=len(result.clusters),
-            points=result.stats.points_inserted,
+            clusters=len(clusters),
+            points=stats.points_inserted,
             pid=os.getpid(),
         )
-    payload: Dict[str, Any] = {
-        "partition": task.partition.name,
-        "clusters": [acf.state_dict() for acf in result.clusters],
-        "stats": phase1_stats_to_dict(result.stats),
-    }
+    payload: Dict[str, Any] = {"clusters": clusters, "stats": stats}
     payload.update(_export_worker_obs(task.trace, task.metrics, task.log))
     return payload
 

@@ -8,16 +8,17 @@ mining run degrades in controlled, *recorded* steps instead of dying:
    clustering starts (this lives in the miner itself; the guard just lets
    it through untouched).
 2. **Worker-pool failure → serial engine.**  With ``engine="parallel"``
-   a dead worker process, a pool that cannot start, or a shared-memory
-   failure raises
-   :class:`~repro.resilience.errors.WorkerPoolError`; the guard retries
-   the same attempt on the serial :class:`~repro.core.miner.DARMiner`
-   (which is decision-identical, just slower) and records the rung.
+   a dead worker process, a pool that cannot start, or a hung task
+   raises :class:`~repro.resilience.errors.WorkerPoolError`; the guard
+   retries the same attempt on the serial
+   :class:`~repro.core.miner.DARMiner` (which is decision-identical,
+   just slower) and records the rung.
    Data errors raised *inside* a worker propagate unchanged — they would
    recur serially.
 3. **Columnar backend failure → in-memory retry.**  When mining a
    memory-mapped :class:`~repro.data.columnar.ColumnStore`, a backend
-   failure (unreadable part file, corrupt manifest, injected fault)
+   failure (unreadable part file, corrupt manifest, injected fault —
+   in the coordinator or inside a parallel worker)
    raises :class:`~repro.resilience.errors.ColumnStoreError`; the guard
    materializes the store with ``to_relation()`` and retries the same
    attempt on the in-memory serial engine — decision-identical, just no

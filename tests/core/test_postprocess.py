@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.birch.features import ACF
 from repro.core.cluster import Cluster
@@ -13,6 +14,7 @@ from repro.core.postprocess import (
 )
 from repro.core.rules import DistanceRule
 from repro.data.relation import AttributePartition
+from tests.core.test_rule_order import rule_sets
 
 
 def cluster(uid, name):
@@ -117,3 +119,36 @@ class TestSelectRules:
         weak = rule([A1], [C1], 0.2, support=5)
         strong = rule([A2], [C1], 0.2, support=80)
         assert select_rules([weak, strong])[0] is strong
+
+
+def all_pairs_prune(rules):
+    """``prune_redundant`` as it was: every rule against every kept rule.
+
+    Frozen as the reference the per-consequent version must reproduce.
+    """
+    ordered = sorted(
+        rules, key=lambda rule: (len(rule.antecedent), rule.degree, str(rule))
+    )
+    kept, kept_index = [], []
+    for candidate in ordered:
+        consequent = candidate.consequent_uids
+        antecedent = candidate.antecedent_uids
+        redundant = any(
+            consequent == kept_consequent
+            and kept_antecedent < antecedent
+            and kept_degree <= candidate.degree + 1e-12
+            for kept_consequent, kept_antecedent, kept_degree in kept_index
+        )
+        if not redundant:
+            kept.append(candidate)
+            kept_index.append((consequent, antecedent, candidate.degree))
+    kept.sort(key=lambda rule: (rule.degree, str(rule)))
+    return kept
+
+
+class TestPruneReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rule_sets())
+    def test_matches_all_pairs_reference(self, rules):
+        pruned = prune_redundant(rules)
+        assert [id(r) for r in pruned] == [id(r) for r in all_pairs_prune(rules)]

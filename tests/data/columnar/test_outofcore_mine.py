@@ -158,10 +158,11 @@ class TestGuardLadder:
 
 
 class TestApiGuards:
-    def test_parallel_engine_rejected_for_stores(self, relation, tmp_path):
+    def test_parallel_engine_mines_stores(self, relation, tmp_path):
         store = ColumnStore.from_relation(relation, directory=tmp_path / "s")
-        with pytest.raises(ValueError, match="serial"):
-            repro.mine(store, engine="parallel", workers=2)
+        parallel = repro.mine(store, engine="parallel", workers=2)
+        assert not parallel.phase2.events
+        assert signatures(parallel) == signatures(repro.mine(store))
 
     def test_store_mine_records_chunk_metrics(self, relation, tmp_path):
         from repro.obs import metrics as obs_metrics

@@ -158,6 +158,40 @@ class TestMiningSurface:
         # The stack is built once and cached (same mapped object back).
         assert store.matrix(names) is stacked
 
+    def test_processes_share_one_stack_file(self, relation, tmp_path):
+        """The stack file name is stable across processes' str-hash salts."""
+        import hashlib
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        directory = tmp_path / "s"
+        ColumnStore.from_relation(relation, directory=directory)
+        names = list(relation.schema.names[:2])
+        script = (
+            "import hashlib, sys\n"
+            "from repro.data.columnar import ColumnStore\n"
+            "matrix = ColumnStore.open(sys.argv[1]).matrix(sys.argv[2:])\n"
+            "print(hashlib.sha256(matrix.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(directory), *names],
+                env=env, check=True, capture_output=True, text=True,
+            )
+            digests.append(out.stdout.strip())
+        stacks = list(directory.glob("_stack_*"))
+        assert len(stacks) == 1
+        on_disk = np.load(stacks[0])
+        assert np.array_equal(on_disk, relation.matrix(names))
+        assert digests == [hashlib.sha256(on_disk.tobytes()).hexdigest()] * 2
+
     def test_matrix_rejects_nominal(self, tmp_path):
         store = ColumnStore.from_arrays(
             Schema.of(job="nominal"), {"job": ["a", "b"]},

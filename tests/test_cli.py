@@ -153,6 +153,14 @@ class TestOutOfCore:
         assert out_of_core == in_memory
         assert (tmp_path / "spill" / "manifest.json").exists()
 
+    def test_parallel_listing_matches_serial(self, planted_csv, capsys):
+        assert main(["mine", planted_csv, "--out-of-core"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["mine", planted_csv, "--out-of-core", "--workers", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert "IF " in serial
+        assert parallel == serial
+
     def test_stats_shows_columnar_line(self, planted_csv, tmp_path, capsys):
         assert main([
             "mine", planted_csv, "--out-of-core",
@@ -181,7 +189,7 @@ class TestOutOfCore:
             (["--out-of-core", "--mixed"], "--mixed"),
             (["--out-of-core", "--checkpoint", "x.ckpt"], "--checkpoint"),
             (["--out-of-core", "--drop-missing"], "--drop-missing"),
-            (["--out-of-core", "--workers", "2"], "--workers"),
+            (["--out-of-core", "--impute-mean"], "--impute-mean"),
             (["--memory-budget", "64q"], "invalid byte count"),
         ],
     )
